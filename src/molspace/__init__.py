@@ -27,6 +27,7 @@ from .coverage import (
     Histogram,
     KlMatrix,
     RejectEntry,
+    accept_record,
     composition_key,
     composition_uniformity,
     coverage_report,
@@ -83,7 +84,6 @@ from .molgraph import (
     heavy_graph,
     parse_molfile,
     parse_record_line,
-    serialize_record,
     validate,
 )
 from .nbg import (

@@ -19,7 +19,8 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -33,7 +34,7 @@ from .descriptors import (
     load_reference_lines,
 )
 from .errors import InvalidArgument, MolspaceError, ParseError
-from .molgraph import heavy_graph, parse_molfile, parse_record_line, validate
+from .molgraph import parse_molfile
 
 WORKERS_ENV = "MOLSPACE_WORKERS"
 
@@ -61,14 +62,6 @@ def read_input(path: str) -> InputText:
     )
 
 
-def write_output(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
 def header_lines(
     command: str, echo: dict[str, Any], inputs: Iterable[InputText]
 ) -> list[str]:
@@ -79,18 +72,32 @@ def header_lines(
     return lines
 
 
-def _write_rejects(
-    rejects: list[cov.RejectEntry], path: str | None
-) -> None:
-    lines = [
-        f"line {r.line_no} id={r.record_id or '?'} {r.reason}" for r in rejects
-    ]
+def _finish(
+    args: argparse.Namespace,
+    cfg: dict[str, Any],
+    lines: list[str],
+    rejects: list[cov.RejectEntry],
+) -> int:
+    """Write the output lines, then the reject lines; return the exit code."""
+    out = _setting(args, cfg, "out", "-")
     text = "\n".join(lines) + "\n"
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
+    if out == "-":
+        sys.stdout.write(text)
+        sys.stdout.flush()
     else:
-        sys.stderr.write(text)
+        Path(out).write_text(text, encoding="utf-8")
+    if not rejects:
+        return 0
+    listing = "".join(
+        f"line {r.line_no} id={r.record_id or '?'} {r.reason}\n" for r in rejects
+    )
+    path = _setting(args, cfg, "rejects", None)
+    if path:
+        Path(path).write_text(listing, encoding="utf-8")
+    else:
+        sys.stderr.write(listing)
     sys.stderr.write(f"{len(rejects)} record(s) rejected\n")
+    return 1
 
 
 def _default_workers() -> int:
@@ -121,13 +128,15 @@ def _map_ordered(
 # ---------------------------------------------------------------------------
 
 
-def _encode_graph(rec_id: str, g, mode: str) -> str:
-    gcn0, gcn1, gcn2 = gcn.atom_codes(g)
-    cls = nbg.nbg_plus_class(g)
-    cores = nbg.nbg0_extract(g, mode)
+def _encode_record(rec: cov.DatasetRecord, mode: str) -> str:
+    g = rec.graph
+    gcn0, gcn1, gcn2 = rec.codes
+    cd = nbg.cut_decomposition(g)
+    cls = nbg.nbg_plus_class(cd)
+    cores = nbg.nbg0_extract(g, cd.bridges, mode)
     sc = nbg.scaffold(g, mode)
     obj = {
-        "id": rec_id,
+        "id": rec.id,
         "na": g.na,
         "gcn0": gcn0,
         "gcn1": gcn1,
@@ -143,38 +152,30 @@ def _encode_graph(rec_id: str, g, mode: str) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _encode_task(task: tuple[str, str]) -> tuple[bool, str]:
-    line, mode = task
-    try:
-        mol = parse_record_line(line)
-        g = heavy_graph(mol)
-        diags = validate(g)
-        if diags:
-            raise ParseError("; ".join(diags))
-        return True, _encode_graph(mol.id, g, mode)
-    except MolspaceError as exc:
-        return False, f"{type(exc).__name__}: {exc}"
+def _cutset_record(rec: cov.DatasetRecord, mode: str) -> str:
+    cls = nbg.nbg_plus_class(nbg.cut_decomposition(rec.graph))
+    return (
+        f"{rec.id}\tvc={cls.cut_vertex_count} ec={cls.bridge_count} "
+        f"level={cls.level}"
+    )
 
 
-def _cutset_task(task: tuple[str, str]) -> tuple[bool, str]:
-    line, _mode = task
-    try:
-        mol = parse_record_line(line)
-        g = heavy_graph(mol)
-        cls = nbg.nbg_plus_class(g)
-        return True, (
-            f"{mol.id}\tvc={cls.cut_vertex_count} ec={cls.bridge_count} "
-            f"level={cls.level}"
-        )
-    except MolspaceError as exc:
-        return False, f"{type(exc).__name__}: {exc}"
+_RENDER = {"encode": _encode_record, "cutset": _cutset_record}
+
+
+def _accept_molfile(text: str) -> cov.DatasetRecord:
+    mol = parse_molfile(text)
+    return cov.accept_molecule(replace(mol, id=mol.id or "molfile"))
+
+
+def _record_task(task: tuple[str, str, str]) -> cov.Verdict:
+    """Verdict on one record line; task is (command, mode, line)."""
+    command, mode, line = task
+    return cov.judge(cov.accept_record, line, partial(_RENDER[command], mode=mode))
 
 
 def _run_per_record(
-    args: argparse.Namespace,
-    cfg: dict[str, Any],
-    task_fn: Callable[[tuple[str, str]], tuple[bool, str]],
-    command: str,
+    args: argparse.Namespace, cfg: dict[str, Any], command: str
 ) -> int:
     mode = _setting(args, cfg, "mode", nbg.DEFAULT_MODE)
     workers = int(_setting(args, cfg, "workers", _default_workers()))
@@ -184,56 +185,25 @@ def _run_per_record(
     # deliberately left out of the echoed configuration.
     echo = {"mode": mode, "input_format": in_format}
 
-    numbered: list[tuple[int, str]] = []
     if in_format == "molfile":
-        mol = parse_molfile(source.text)
-        g = heavy_graph(mol)
-        if command == "encode":
-            body = [_encode_graph(mol.id or "molfile", g, mode)]
-        else:
-            cls = nbg.nbg_plus_class(g)
-            body = [
-                f"{mol.id or 'molfile'}\tvc={cls.cut_vertex_count} "
-                f"ec={cls.bridge_count} level={cls.level}"
-            ]
-        results: list[tuple[bool, str]] = [(True, body[0])]
+        numbered = [(1, source.text)]
+        render = partial(_RENDER[command], mode=mode)
+        verdicts = [cov.judge(_accept_molfile, source.text, render)]
     else:
-        for line_no, raw in enumerate(source.text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            numbered.append((line_no, line))
-        results = _map_ordered(
-            task_fn, [(line, mode) for _, line in numbered], workers
+        numbered = cov.record_lines(source.text.splitlines())
+        verdicts = _map_ordered(
+            _record_task, [(command, mode, line) for _, line in numbered], workers
         )
-
-    out_lines = header_lines(command, echo, [source])
-    rejects: list[cov.RejectEntry] = []
-    for idx, (ok, payload) in enumerate(results):
-        if ok:
-            out_lines.append(payload)
-        else:
-            line_no = numbered[idx][0] if idx < len(numbered) else 0
-            rejects.append(
-                RejectProxy(line_no, None, payload)
-            )
-    write_output(_setting(args, cfg, "out", "-"), "\n".join(out_lines) + "\n")
-    if rejects:
-        _write_rejects(rejects, _setting(args, cfg, "rejects", None))
-        return 1
-    return 0
-
-
-def RejectProxy(line_no: int, record_id: str | None, reason: str) -> cov.RejectEntry:
-    return cov.RejectEntry(line_no=line_no, record_id=record_id, reason=reason)
+    body, rejects = cov.admit(numbered, verdicts)
+    return _finish(args, cfg, header_lines(command, echo, [source]) + body, rejects)
 
 
 def cmd_encode(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
-    return _run_per_record(args, cfg, _encode_task, "encode")
+    return _run_per_record(args, cfg, "encode")
 
 
 def cmd_cutset(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
-    return _run_per_record(args, cfg, _cutset_task, "cutset")
+    return _run_per_record(args, cfg, "cutset")
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +221,7 @@ def cmd_enumerate(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
         codes = gcn.enumerate_gcn0(elements)
     else:
         codes = gcn.enumerate_gcn1(elements)
-    body = "\n".join(sorted(codes, reverse=True)) + "\n"
-    write_output(_setting(args, cfg, "out", "-"), body)
-    return 0
+    return _finish(args, cfg, sorted(codes, reverse=True), [])
 
 
 def cmd_count_gcn2(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
@@ -266,8 +234,7 @@ def cmd_count_gcn2(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
     elements_spec = _setting(args, cfg, "elements", None)
     elements = _parse_elements(elements_spec) if elements_spec else None
     total = gcn.count_gcn2(codes, elements)
-    write_output(_setting(args, cfg, "out", "-"), f"{total}\n")
-    return 0
+    return _finish(args, cfg, [str(total)], [])
 
 
 def cmd_generate_nbg0(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
@@ -276,8 +243,7 @@ def cmd_generate_nbg0(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
     text = nbg.serialize_topologies(
         topologies, {"generator": "nbg0", "max_heavy": max_heavy, "mode": "skeleton"}
     )
-    write_output(_setting(args, cfg, "out", "-"), text)
-    return 0
+    return _finish(args, cfg, text.splitlines(), [])
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +280,7 @@ def cmd_coverage(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
         width = max(len(k) for k, _ in flat)
         for key, value in flat:
             lines.append(f"{key.ljust(width)}  {value}")
-    write_output(_setting(args, cfg, "out", "-"), "\n".join(lines) + "\n")
-    if rejects:
-        _write_rejects(rejects, _setting(args, cfg, "rejects", None))
-        return 1
-    return 0
+    return _finish(args, cfg, lines, rejects)
 
 
 def _multi_ingest(
@@ -358,11 +320,7 @@ def cmd_compare(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
     lines.append("region\tcount")
     for key, value in regions.items():
         lines.append(f"{key}\t{value}")
-    write_output(_setting(args, cfg, "out", "-"), "\n".join(lines) + "\n")
-    if rejects:
-        _write_rejects(rejects, _setting(args, cfg, "rejects", None))
-        return 1
-    return 0
+    return _finish(args, cfg, lines, rejects)
 
 
 def cmd_kl(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
@@ -377,11 +335,7 @@ def cmd_kl(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
     lines.append("name\t" + "\t".join(km.names))
     for row_name, row in zip(km.names, km.matrix):
         lines.append(row_name + "\t" + "\t".join(repr(v) for v in row))
-    write_output(_setting(args, cfg, "out", "-"), "\n".join(lines) + "\n")
-    if rejects:
-        _write_rejects(rejects, _setting(args, cfg, "rejects", None))
-        return 1
-    return 0
+    return _finish(args, cfg, lines, rejects)
 
 
 def cmd_hist(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
@@ -395,11 +349,7 @@ def cmd_hist(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
     lines.append("low\thigh\tcount")
     for lo, hi, count in hist.entries:
         lines.append(f"{lo!r}\t{hi!r}\t{count}")
-    write_output(_setting(args, cfg, "out", "-"), "\n".join(lines) + "\n")
-    if rejects:
-        _write_rejects(rejects, _setting(args, cfg, "rejects", None))
-        return 1
-    return 0
+    return _finish(args, cfg, lines, rejects)
 
 
 def cmd_subset(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
@@ -411,11 +361,7 @@ def cmd_subset(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
         "subset", {"gcn2_level": gcn2_max, "nbg_level": nbg_max}, [source]
     )
     lines.extend(sorted(ids))
-    write_output(_setting(args, cfg, "out", "-"), "\n".join(lines) + "\n")
-    if rejects:
-        _write_rejects(rejects, _setting(args, cfg, "rejects", None))
-        return 1
-    return 0
+    return _finish(args, cfg, lines, rejects)
 
 
 def cmd_complement(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
@@ -429,12 +375,7 @@ def cmd_complement(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
         "complement", {"feature": feature, "na_cap": na_cap}, [src1, src2]
     )
     lines.extend(sorted(ids))
-    write_output(_setting(args, cfg, "out", "-"), "\n".join(lines) + "\n")
-    rejects = rej1 + rej2
-    if rejects:
-        _write_rejects(rejects, _setting(args, cfg, "rejects", None))
-        return 1
-    return 0
+    return _finish(args, cfg, lines, rej1 + rej2)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +410,7 @@ def cmd_egcn0(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
         lines.append("atom\te_gcn0")
         for atom in sorted(energies):
             lines.append(f"{atom}\t{energies[atom]!r}")
-    write_output(_setting(args, cfg, "out", "-"), "\n".join(lines) + "\n")
-    return 0
+    return _finish(args, cfg, lines, [])
 
 
 def cmd_bind_energy(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
@@ -490,20 +430,10 @@ def cmd_bind_energy(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
                 record.properties[prop], record.graph.composition(), refs
             )
         except MolspaceError as exc:
-            rejects = rejects + [
-                cov.RejectEntry(
-                    line_no=0,
-                    record_id=record.id,
-                    reason=f"{type(exc).__name__}: {exc}",
-                )
-            ]
+            rejects.append(cov.RejectEntry(0, record.id, cov.reject_reason(exc)))
             continue
         lines.append(f"{record.id}\t{value!r}")
-    write_output(_setting(args, cfg, "out", "-"), "\n".join(lines) + "\n")
-    if rejects:
-        _write_rejects(rejects, _setting(args, cfg, "rejects", None))
-        return 1
-    return 0
+    return _finish(args, cfg, lines, rejects)
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +457,7 @@ def cmd_align(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
             {"mode": mode, "ridge": ridge, "e0": e0_prop, "e1": e1_prop},
             [source],
         )
-        body = "\n".join(lines) + "\n" + align_mod.save_model(model)
-        write_output(_setting(args, cfg, "out", "-"), body)
+        lines.extend(align_mod.save_model(model).splitlines())
     else:
         model_source = read_input(_setting(args, cfg, "model", "-"))
         model = align_mod.load_model(model_source.text)
@@ -541,7 +470,6 @@ def cmd_align(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
             lines.append("id\taligned")
             for record, (fv, _) in zip(table.records, pairs):
                 lines.append(f"{record.id}\t{align_mod.apply(model, fv)!r}")
-            write_output(_setting(args, cfg, "out", "-"), "\n".join(lines) + "\n")
         else:  # stats
             e1_prop = _setting(args, cfg, "e1", "e1")
             threshold = float(
@@ -560,12 +488,7 @@ def cmd_align(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
             lines.append(f"mae\t{stats.mae!r}")
             lines.append(f"rmsd\t{stats.rmsd!r}")
             lines.append(f"outliers\t{stats.outliers}")
-            write_output(_setting(args, cfg, "out", "-"), "\n".join(lines) + "\n")
-
-    if rejects:
-        _write_rejects(rejects, _setting(args, cfg, "rejects", None))
-        return 1
-    return 0
+    return _finish(args, cfg, lines, rejects)
 
 
 # ---------------------------------------------------------------------------

@@ -10,22 +10,22 @@ unseen-structure complements and composition uniformity reports.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from functools import cached_property
+from typing import Any, Callable, Iterable
 
 from . import gcn, nbg
 from .errors import (
     DuplicateRecord,
     EmptyDistribution,
     InvalidArgument,
-    MissingProperty,
     MolspaceError,
     ParseError,
+    TooLarge,
 )
-from .molgraph import HeavyGraph, heavy_graph, parse_record_obj, validate
+from .molgraph import HeavyGraph, MolGraph, heavy_graph, parse_record_line, validate
 
 # Feature axes with a per-record type multiset.
 TYPE_FEATURES = ("gcn0", "gcn1", "gcn2", "nbg0", "scaffold", "nbg_plus")
@@ -44,6 +44,17 @@ class DatasetRecord:
     mol: str
     cache: dict[Any, Any] = field(default_factory=dict)
 
+    @cached_property
+    def codes(self) -> tuple[list[str], list[str], list[str]]:
+        """Level-0, level-1 and level-2 codes of every atom."""
+        return gcn.atom_codes(self.graph)
+
+    @cached_property
+    def levels(self) -> tuple[int, int]:
+        """(radius-2 crowding level, cut-set level)."""
+        cd = nbg.cut_decomposition(self.graph)
+        return gcn.gcn2_level(self.graph), nbg.nbg_plus_class(cd).level
+
 
 @dataclass
 class DatasetTable:
@@ -61,64 +72,116 @@ class RejectEntry:
     reason: str
 
 
+# (record id or None, accepted, rendered record or reject reason)
+Verdict = tuple[str | None, bool, Any]
+
+
+def accept_record(line: str) -> DatasetRecord:
+    """Accept one record line or raise the error that rejects it.
+
+    This is the one accept rule of every record command. The line must
+    parse (one structured-text object, elements C/N/O/F, bond orders 1 to
+    3, one fragment, finite numeric ``props``) and the molecule must pass
+    accept_molecule. Errors carry the record id once it is parsed.
+    """
+    return accept_molecule(parse_record_line(line))
+
+
+def accept_molecule(mol: MolGraph) -> DatasetRecord:
+    """The graph half of accept_record, also used for molfiles.
+
+    Rejects a molecule whose hydrogens cannot be suppressed, that fails
+    validate, that has an atom environment outside the level-0 code
+    table, or that has more heavy atoms than the exact canonical forms
+    allow (nbg.MAX_SIGNATURE_VERTICES, TooLarge). So every accepted record
+    is encodable by every downstream operation.
+    """
+    try:
+        g = heavy_graph(mol)
+        diags = validate(g)
+        if diags:
+            raise ParseError("; ".join(diags))
+        for i in range(g.na):
+            gcn.gcn0_of_atom(g, i)
+        if g.na > nbg.MAX_SIGNATURE_VERTICES:
+            raise TooLarge(
+                f"record has {g.na} heavy atoms, above the cap of "
+                f"{nbg.MAX_SIGNATURE_VERTICES}"
+            )
+    except MolspaceError as exc:
+        exc.record_id = mol.id
+        raise
+    return DatasetRecord(
+        id=mol.id, graph=g, properties=dict(mol.props), mol=mol.mol
+    )
+
+
+def reject_reason(exc: MolspaceError) -> str:
+    """Reject-line text for an error: its class name and message."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def judge(
+    accept: Callable[[str], DatasetRecord],
+    text: str,
+    render: Callable[[DatasetRecord], Any],
+) -> Verdict:
+    """Accept one record and render it, or give the reason it is rejected.
+
+    Safe to run in worker processes: the duplicate-id check is left to
+    admit, which sees the verdicts of a whole input in order.
+    """
+    try:
+        record = accept(text)
+    except MolspaceError as exc:
+        return exc.record_id, False, reject_reason(exc)
+    return record.id, True, render(record)
+
+
+def admit(
+    numbered: list[tuple[int, str]], verdicts: Iterable[Verdict]
+) -> tuple[list[Any], list[RejectEntry]]:
+    """Split one input's verdicts into accepted values and reject entries.
+
+    A record that reuses the id of a record accepted earlier in the same
+    input is rejected with DuplicateRecord.
+    """
+    seen: set[str | None] = set()
+    kept: list[Any] = []
+    rejects: list[RejectEntry] = []
+    for (line_no, _), (rec_id, ok, value) in zip(numbered, verdicts):
+        if ok and rec_id in seen:
+            ok = False
+            value = reject_reason(DuplicateRecord(f"id {rec_id!r} already present"))
+        if ok:
+            seen.add(rec_id)
+            kept.append(value)
+        else:
+            rejects.append(RejectEntry(line_no, rec_id, value))
+    return kept, rejects
+
+
+def record_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
+    """Number the record lines (from 1), skipping blanks and '#' comments."""
+    numbered: list[tuple[int, str]] = []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            numbered.append((line_no, line))
+    return numbered
+
+
 def ingest(lines: Iterable[str], name: str) -> tuple[DatasetTable, list[RejectEntry]]:
     """Build a table from record lines, collecting per-record failures.
 
     Blank lines and '#' comments are skipped. A record is rejected (never
-    fatal) when it fails to parse, fails validation, contains an atom
-    environment outside the code table, or reuses an id already in the
-    table. Accepted records are guaranteed encodable by every downstream
-    operation.
+    fatal) when accept_record rejects it or when it reuses the id of a
+    record already in the table. Accepted records are encodable by every
+    downstream operation.
     """
-    records: list[DatasetRecord] = []
-    rejects: list[RejectEntry] = []
-    seen_ids: set[str] = set()
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rec_id: str | None = None
-        try:
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(
-                    f"record line is not valid structured text: {exc}"
-                ) from exc
-            if not isinstance(obj, dict):
-                raise ParseError("record line must hold a single object")
-            mol_graph = parse_record_obj(obj)
-            rec_id = mol_graph.id
-            g = heavy_graph(mol_graph)
-            diags = validate(g)
-            if diags:
-                raise ParseError("; ".join(diags))
-            for i in range(g.na):
-                gcn.gcn0_of_atom(g, i)
-            if rec_id in seen_ids:
-                raise DuplicateRecord(f"id {rec_id!r} already present")
-            props_raw = obj.get("props", {})
-            if not isinstance(props_raw, dict):
-                raise ParseError("field 'props' must be an object")
-            properties: dict[str, float] = {}
-            for key, value in props_raw.items():
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise ParseError(f"property {key!r} is not numeric")
-                properties[str(key)] = float(value)
-            mol_key = str(obj["mol"]) if "mol" in obj else rec_id
-        except MolspaceError as exc:
-            rejects.append(
-                RejectEntry(
-                    line_no=line_no,
-                    record_id=rec_id,
-                    reason=f"{type(exc).__name__}: {exc}",
-                )
-            )
-            continue
-        seen_ids.add(rec_id)
-        records.append(
-            DatasetRecord(id=rec_id, graph=g, properties=properties, mol=mol_key)
-        )
+    numbered = record_lines(lines)
+    verdicts = [judge(accept_record, line, lambda r: r) for _, line in numbered]
+    records, rejects = admit(numbered, verdicts)
     return DatasetTable(name=name, records=records), rejects
 
 
@@ -135,14 +198,11 @@ def record_type_counts(
     g = record.graph
     counts: Counter = Counter()
     if feature in ("gcn0", "gcn1", "gcn2"):
-        codes = record.cache.get("codes")
-        if codes is None:
-            codes = gcn.atom_codes(g)
-            record.cache["codes"] = codes
         level = ("gcn0", "gcn1", "gcn2").index(feature)
-        counts.update(codes[level])
+        counts.update(record.codes[level])
     elif feature == "nbg0":
-        counts.update(t.signature for t in nbg.nbg0_extract(g, mode))
+        bridges = nbg.cut_decomposition(g).bridges
+        counts.update(t.signature for t in nbg.nbg0_extract(g, bridges, mode))
     elif feature == "scaffold":
         topo = nbg.scaffold(g, mode)
         if topo is not None:
@@ -170,18 +230,6 @@ def type_set(
 ) -> set[str]:
     """Unique feature types observed anywhere in a table."""
     return set(_table_type_counts(t, feature, mode))
-
-
-def _levels(record: DatasetRecord) -> tuple[int, int]:
-    """(radius-2 crowding level, cut-set level) for one record, cached."""
-    cached = record.cache.get("levels")
-    if cached is None:
-        cached = (
-            gcn.gcn2_level(record.graph),
-            nbg.nbg_plus_class(record.graph).level,
-        )
-        record.cache["levels"] = cached
-    return cached
 
 
 @dataclass(frozen=True)
@@ -226,9 +274,18 @@ def coverage_report(t: DatasetTable) -> CoverageReport:
     """
     na_hist: Counter = Counter()
     plus_levels: Counter = Counter()
+    cores: dict[str, set[str]] = {mode: set() for mode in nbg.MODES}
     for record in t.records:
-        na_hist[record.graph.na] += 1
-        plus_levels[_levels(record)[1]] += 1
+        g = record.graph
+        # One decomposition serves the level and the cores of every mode;
+        # it is not kept, as it would cost about 2 KB per record.
+        cd = nbg.cut_decomposition(g)
+        na_hist[g.na] += 1
+        plus_levels[nbg.nbg_plus_class(cd).level] += 1
+        for mode in nbg.MODES:
+            cores[mode].update(
+                core.signature for core in nbg.nbg0_extract(g, cd.bridges, mode)
+            )
     return CoverageReport(
         name=t.name,
         molecule_count=len({r.mol for r in t.records}),
@@ -236,7 +293,7 @@ def coverage_report(t: DatasetTable) -> CoverageReport:
         gcn0_types=len(type_set(t, "gcn0")),
         gcn1_types=len(type_set(t, "gcn1")),
         gcn2_types=len(type_set(t, "gcn2")),
-        nbg0_types={mode: len(type_set(t, "nbg0", mode)) for mode in nbg.MODES},
+        nbg0_types={mode: len(cores[mode]) for mode in nbg.MODES},
         scaffold_types=len(type_set(t, "scaffold")),
         nbg_plus_levels=dict(plus_levels),
         na_histogram=dict(na_hist),
@@ -415,7 +472,7 @@ def expansion_subsets(
         raise InvalidArgument("level thresholds must be non-negative")
     out: set[str] = set()
     for record in t.records:
-        glevel, nlevel = _levels(record)
+        glevel, nlevel = record.levels
         if glevel <= gcn2_max and nlevel <= nbg_max:
             out.add(record.id)
     return out
@@ -485,15 +542,3 @@ def composition_uniformity(t: DatasetTable) -> CompositionReport:
     structures = {k: len(per_key[k]) for k in sorted(per_key)}
     flagged = tuple(k for k in sorted(per_key) if len(per_key[k]) < 2)
     return CompositionReport(structures=structures, flagged=flagged)
-
-
-def property_vector(t: DatasetTable, prop: str) -> dict[str, float]:
-    """Map record id to a required numeric property; missing raises."""
-    out: dict[str, float] = {}
-    for record in t.records:
-        if prop not in record.properties:
-            raise MissingProperty(
-                f"record {record.id!r} lacks property {prop!r}"
-            )
-        out[record.id] = record.properties[prop]
-    return out

@@ -7,7 +7,13 @@ per-record reject entries instead of aborting a whole run.
 
 
 class MolspaceError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``record_id`` is the id of the record being read when the error was
+    raised, once that id is known; reject lines print it.
+    """
+
+    record_id: str | None = None
 
 
 class ParseError(MolspaceError):

@@ -6,8 +6,9 @@ Two wire formats are supported:
   usually present as atoms).
 * One-object-per-line structured text records with fields ``id``,
   ``elements`` (heavy atoms only), ``bonds`` (1-indexed ``[i, j, order]``
-  triples) and ``h`` (per-atom hydrogen counts, or ``"auto"`` to infer
-  counts from default valences).
+  triples), ``h`` (per-atom hydrogen counts, or ``"auto"`` to infer
+  counts from default valences) and the optional ``props`` (finite
+  numeric properties) and ``mol`` (parent molecule name).
 
 Internally bonds are stored 0-indexed with ``i < j``. Graphs are immutable
 after construction; parsers enforce the structural invariants and reject
@@ -17,6 +18,8 @@ multi-fragment input.
 from __future__ import annotations
 
 import json
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +28,7 @@ from typing import Any, Iterable, Mapping
 from .errors import (
     InvalidHydrogenCount,
     InvalidHydrogenTopology,
+    MolspaceError,
     ParseError,
     UnsupportedBondOrder,
     UnsupportedElement,
@@ -49,7 +53,9 @@ class MolGraph:
 
     ``elements`` may include ``"H"`` entries (explicit-hydrogen input).
     When ``explicit_h`` is False the graph came from the heavy-atom record
-    format and ``h_counts`` holds one hydrogen count per atom.
+    format and ``h_counts`` holds one hydrogen count per atom. ``props``
+    holds the record's (name, value) properties in input order and
+    ``mol`` names the parent molecule (the id when the record gives none).
     """
 
     id: str
@@ -57,6 +63,8 @@ class MolGraph:
     bonds: tuple[tuple[int, int, int], ...]
     explicit_h: bool
     h_counts: tuple[int, ...] | None = None
+    props: tuple[tuple[str, float], ...] = ()
+    mol: str = ""
 
 
 @dataclass(frozen=True)
@@ -204,15 +212,29 @@ def parse_molfile(text: str, id: str = "") -> MolGraph:
         bonds=bonds,
         explicit_h=any(el == "H" for el in elements),
         h_counts=None,
+        mol=name,
     )
 
 
 def parse_record_obj(obj: Mapping[str, Any]) -> MolGraph:
-    """Build a MolGraph from an already-decoded record object."""
-    for key in ("id", "elements", "bonds", "h"):
+    """Build a MolGraph from an already-decoded record object.
+
+    Errors raised after the id is read carry it as ``record_id``.
+    """
+    if "id" not in obj:
+        raise ParseError("record missing field 'id'")
+    rec_id = str(obj["id"])
+    try:
+        return _parse_record_fields(rec_id, obj)
+    except MolspaceError as exc:
+        exc.record_id = rec_id
+        raise
+
+
+def _parse_record_fields(rec_id: str, obj: Mapping[str, Any]) -> MolGraph:
+    for key in ("elements", "bonds", "h"):
         if key not in obj:
             raise ParseError(f"record missing field {key!r}")
-    rec_id = str(obj["id"])
     elements_raw = obj["elements"]
     if not isinstance(elements_raw, list) or not elements_raw:
         raise ParseError("field 'elements' must be a non-empty list")
@@ -260,7 +282,7 @@ def parse_record_obj(obj: Mapping[str, Any]) -> MolGraph:
                     f"{order_sums[k]} above the default valence; hydrogen count "
                     "clamped to 0",
                     HydrogenClampWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
                 h = 0
             h_counts.append(h)
@@ -280,12 +302,27 @@ def parse_record_obj(obj: Mapping[str, Any]) -> MolGraph:
     else:
         raise ParseError("field 'h' must be a count list or the token \"auto\"")
 
+    props_raw = obj.get("props", {})
+    if not isinstance(props_raw, dict):
+        raise ParseError("field 'props' must be an object")
+    props: list[tuple[str, float]] = []
+    for key, value in props_raw.items():
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ParseError(f"property {key!r} is not numeric")
+        # float() overflows on integers past the float range.
+        number = float(value) if abs(value) <= sys.float_info.max else math.inf
+        if not math.isfinite(number):
+            raise ParseError(f"property {key!r} is not a finite number")
+        props.append((str(key), number))
+
     return MolGraph(
         id=rec_id,
         elements=tuple(elements),
         bonds=bonds,
         explicit_h=False,
         h_counts=tuple(h_counts),
+        props=tuple(props),
+        mol=str(obj["mol"]) if "mol" in obj else rec_id,
     )
 
 
@@ -298,22 +335,6 @@ def parse_record_line(line: str) -> MolGraph:
     if not isinstance(obj, dict):
         raise ParseError("record line must hold a single object")
     return parse_record_obj(obj)
-
-
-def serialize_record(g: MolGraph) -> str:
-    """Serialize a molecule as one heavy-atom record line.
-
-    Field order is fixed (id, elements, bonds, h) so identical molecules
-    produce identical bytes. Explicit-hydrogen input is suppressed first.
-    """
-    hg = heavy_graph(g)
-    obj = {
-        "id": g.id,
-        "elements": list(hg.elements),
-        "bonds": [[i + 1, j + 1, order] for i, j, order in hg.bonds],
-        "h": list(hg.h_count),
-    }
-    return json.dumps(obj, separators=(",", ":"))
 
 
 def heavy_graph(g: MolGraph) -> HeavyGraph:

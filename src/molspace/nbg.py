@@ -65,14 +65,11 @@ class NbgPlusClass:
 def cut_decomposition(g: HeavyGraph) -> CutDecomposition:
     """Find articulation vertices and bridges in one depth-first pass.
 
-    Classic low-link computation, iterative so deep chains cannot overflow
-    the interpreter stack. Bond orders play no role here.
+    Classic low-link computation (Tarjan 1972), iterative so deep chains
+    cannot overflow the interpreter stack. Bond orders play no role here.
     """
     n = g.na
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j, _order in g.bonds:
-        adj[i].append(j)
-        adj[j].append(i)
+    adj = g.neighbors
 
     disc = [-1] * n
     low = [0] * n
@@ -91,7 +88,7 @@ def cut_decomposition(g: HeavyGraph) -> CutDecomposition:
             v, parent, ptr = stack[-1]
             if ptr < len(adj[v]):
                 stack[-1] = (v, parent, ptr + 1)
-                w = adj[v][ptr]
+                w = adj[v][ptr][0]
                 if w == parent:
                     continue
                 if disc[w] == -1:
@@ -120,15 +117,14 @@ def cut_decomposition(g: HeavyGraph) -> CutDecomposition:
     )
 
 
-def nbg_plus_class(g: HeavyGraph) -> NbgPlusClass:
-    """Classify a molecule by its cut-set sizes.
+def nbg_plus_class(cd: CutDecomposition) -> NbgPlusClass:
+    """Classify a molecule by the cut-set sizes of its decomposition.
 
     level = max(cut vertices, bridges); the molecule sits inside the
     extended topology space when both counts are at most 3. The definition
     is applied uniformly, so acyclic molecules land at level >= 1 as soon
     as they have any bridge.
     """
-    cd = cut_decomposition(g)
     vc = len(cd.cut_vertices)
     ec = len(cd.bridges)
     return NbgPlusClass(
@@ -297,51 +293,50 @@ def topology_of(
 # ---------------------------------------------------------------------------
 
 
-def nbg0_extract(g: HeavyGraph, mode: str = DEFAULT_MODE) -> list[NbgTopology]:
+def nbg0_extract(
+    g: HeavyGraph,
+    bridges: frozenset[tuple[int, int]],
+    mode: str = DEFAULT_MODE,
+) -> list[NbgTopology]:
     """Extract the bridge-free ring/cage cores of a molecule.
 
-    Deletes every bridge and keeps each remaining component that still has
-    an edge; those are exactly the nontrivial two-edge-connected components
-    (at least three vertices, at least one cycle). The result keeps one
-    entry per component, so repeated cores appear with their multiplicity.
+    ``bridges`` are the graph's bridges, from its cut decomposition.
+    Deleting them leaves components; those with an edge are exactly the
+    nontrivial two-edge-connected components (at least three vertices, at
+    least one cycle). The result keeps one entry per component, in order of
+    smallest vertex, so repeated cores appear with their multiplicity.
     """
-    bridges = cut_decomposition(g).bridges
     n = g.na
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    kept_edges: list[tuple[int, int, int]] = []
-    for i, j, order in g.bonds:
-        if (i, j) in bridges:
-            continue
-        adj[i].append((j, order))
-        adj[j].append((i, order))
-        kept_edges.append((i, j, order))
-
     comp = [-1] * n
-    ncomp = 0
+    cores: list[list[int]] = []
     for start in range(n):
-        if comp[start] != -1 or not adj[start]:
+        if comp[start] != -1:
             continue
+        comp[start] = len(cores)
+        members = [start]
         stack = [start]
-        comp[start] = ncomp
         while stack:
             v = stack.pop()
-            for w, _ in adj[v]:
-                if comp[w] == -1:
-                    comp[w] = ncomp
+            for w, _ in g.neighbors[v]:
+                if comp[w] == -1 and ((v, w) if v < w else (w, v)) not in bridges:
+                    comp[w] = len(cores)
+                    members.append(w)
                     stack.append(w)
-        ncomp += 1
+        if len(members) > 1:
+            cores.append(sorted(members))
+        else:
+            comp[start] = -2
 
+    core_edges: list[list[tuple[int, int, int]]] = [[] for _ in cores]
+    for i, j, order in g.bonds:
+        if comp[i] >= 0 and comp[i] == comp[j]:
+            core_edges[comp[i]].append((i, j, order))
     out: list[NbgTopology] = []
-    for c in range(ncomp):
-        vertices = [v for v in range(n) if comp[v] == c]
+    for vertices, edges in zip(cores, core_edges):
         index = {v: k for k, v in enumerate(vertices)}
         elements = tuple(g.elements[v] for v in vertices)
-        edges = [
-            (index[i], index[j], order)
-            for i, j, order in kept_edges
-            if comp[i] == c
-        ]
-        out.append(topology_of(elements, edges, mode))
+        local = [(index[i], index[j], order) for i, j, order in edges]
+        out.append(topology_of(elements, local, mode))
     return out
 
 

@@ -1,0 +1,192 @@
+"""One accept rule for every record command, and one cut decomposition
+per record."""
+
+import json
+
+import pytest
+
+from molspace import cli, nbg
+from molspace.cli import main
+from molspace.coverage import coverage_report, ingest
+
+from conftest import record_line
+
+C2_TRIPLE = ["C", "C"], [(1, 2, 3)]
+
+# (id shown on the reject line or None for an accepted record, line text)
+NAMED_RECORDS = [
+    (None, "# named records: four accepted, eleven rejected"),
+    (None, record_line("methane", ["C"], [], props={"e": -40.0})),
+    (None, record_line("dup", ["C"] * 3, [(1, 2, 1), (2, 3, 1)])),
+    ("overvalent", record_line("overvalent", *C2_TRIPLE, h=[3, 3])),
+    ("c03", record_line("c03", ["C"], [], h=[3])),
+    (None, ""),
+    (None, record_line("ethane", ["C", "C"], [(1, 2, 1)], props={"e": -79.0})),
+    ("dup", record_line("dup", ["O"], [])),
+    ("strprop", record_line("strprop", ["C"], [], props={"e": "low"})),
+    ("nanprop", record_line("nanprop", ["C"], [], props={"e": float("nan")})),
+    ("c33", record_line("c33", ["C"] * 33, [(i, i + 1, 1) for i in range(1, 33)])),
+    ("ring34", record_line(
+        "ring34", ["C"] * 34, [(i, i % 34 + 1, 1) for i in range(1, 35)])),
+    ("fragment", record_line("fragment", ["C", "C"], [])),
+    ("order4", record_line("order4", ["C", "C"], [(1, 2, 4)])),
+    ("?", '{"id": "truncated", "elements": ["C"], "bo'),
+    (None, record_line("benzene", ["C"] * 6, [
+        (1, 2, 2), (2, 3, 1), (3, 4, 2), (4, 5, 1), (5, 6, 2), (6, 1, 1)])),
+]
+ACCEPTED = ["methane", "dup", "ethane", "benzene"]
+EXPECTED_REJECTS = [
+    (line_no, shown)
+    for line_no, (shown, _) in enumerate(NAMED_RECORDS, start=1)
+    if shown is not None
+]
+
+
+def body(path):
+    return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+
+def json_body(path):
+    return json.loads(body(path)[0])
+
+
+# command -> (argv after the input paths are filled in, check of the output)
+COMMANDS = {
+    "encode": (["encode", "--input", "{bad}"],
+               lambda out: [json.loads(ln)["id"] for ln in body(out)] == ACCEPTED),
+    "encode-w2": (["encode", "--input", "{bad}", "--workers", "2"],
+                  lambda out: [json.loads(ln)["id"] for ln in body(out)] == ACCEPTED),
+    "cutset": (["cutset", "--input", "{bad}"],
+               lambda out: [ln.split("\t")[0] for ln in body(out)] == ACCEPTED),
+    "coverage": (["coverage", "--input", "{bad}"],
+                 lambda out: json_body(out)["conformation_count"] == len(ACCEPTED)),
+    "compare": (["compare", "{bad}", "{good}", "--feature", "nbg_plus"],
+                lambda out: body(out)[0] == "region\tcount"),
+    "kl": (["kl", "{bad}", "{good}", "--feature", "nbg_plus"],
+           lambda out: body(out)[0] == "name\tbad\tgood"),
+    "subset": (["subset", "--input", "{bad}"],
+               lambda out: body(out) == sorted(ACCEPTED)),
+    "hist": (["hist", "--input", "{bad}", "--property", "e", "--bins", "4"],
+             lambda out: f"used=2 skipped={len(ACCEPTED) - 2}" in out.read_text()),
+    "complement": (["complement", "--train", "{empty}", "--eval", "{bad}"],
+                   lambda out: body(out) == sorted(ACCEPTED)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_record_command_gives_the_same_verdicts(command, tmp_path, capsys):
+    paths = {
+        "bad": tmp_path / "bad.jsonl",
+        "good": tmp_path / "good.jsonl",
+        "empty": tmp_path / "empty.jsonl",
+    }
+    paths["bad"].write_text("\n".join(text for _, text in NAMED_RECORDS) + "\n")
+    paths["good"].write_text(record_line("water", ["O"], []) + "\n")
+    paths["empty"].write_text("# no records\n")
+    out, rejects = tmp_path / "out.txt", tmp_path / "rejects.txt"
+    argv, check = COMMANDS[command]
+    argv = [arg.format(**paths) for arg in argv]
+
+    code = main(argv + ["--out", str(out), "--rejects", str(rejects)])
+
+    assert code == 1
+    assert check(out)
+    shown = []
+    for line in rejects.read_text().splitlines():
+        words = line.split(" ")
+        assert words[0] == "line" and words[2].startswith("id=")
+        shown.append((int(words[1]), words[2][len("id="):]))
+    assert shown == EXPECTED_REJECTS
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [
+    "NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="int-1e400")])
+def test_hist_rejects_non_finite_property(value, tmp_path, capsys):
+    path = tmp_path / "in.jsonl"
+    path.write_text(
+        record_line("ok", ["C"], [], props={"x": 1.0}) + "\n"
+        + f'{{"id": "odd", "elements": ["C"], "bonds": [], "h": "auto", '
+        f'"props": {{"x": {value}}}}}\n'
+    )
+    code = main(["hist", "--input", str(path), "--property", "x", "--bins", "4"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "# used=1 skipped=0" in out
+    assert "line 2 id=odd ParseError: property 'x' is not a finite number" in err
+
+
+@pytest.mark.parametrize("command", ["encode", "cutset"])
+def test_reject_lines_carry_the_parsed_id(command, tmp_path, capsys):
+    path = tmp_path / "in.jsonl"
+    path.write_text(record_line("overvalent", *C2_TRIPLE, h=[3, 3]) + "\n")
+    code = main([command, "--input", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert [ln for ln in out.splitlines() if not ln.startswith("#")] == []
+    assert err.startswith("line 1 id=overvalent ParseError: atom 1 (C)")
+
+
+ETHYNE_WITH_SIX_H = "\n".join(
+    ["ethyne6h", "  test", "",
+     "  8  7  0  0  0  0  0  0  0  0999 V2000"]
+    + ["    0.0000    0.0000    0.0000 C   0  0  0  0  0  0  0  0  0  0  0  0"] * 2
+    + ["    0.0000    0.0000    0.0000 H   0  0  0  0  0  0  0  0  0  0  0  0"] * 6
+    + ["  1  2  3  0  0  0  0"]
+    + [f"  {c}  {h}  1  0  0  0  0" for c, h in
+       [(1, 3), (1, 4), (1, 5), (2, 6), (2, 7), (2, 8)]]
+    + ["M  END", ""]
+)
+
+
+@pytest.mark.parametrize("command", ["encode", "cutset"])
+def test_molfile_goes_through_validation(command, tmp_path, capsys):
+    path = tmp_path / "ethyne6h.mol"
+    path.write_text(ETHYNE_WITH_SIX_H)
+    code = main([command, "--input", str(path), "--input-format", "molfile"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert [ln for ln in out.splitlines() if not ln.startswith("#")] == []
+    assert err.startswith(
+        "line 1 id=ethyne6h ParseError: atom 1 (C): bond order sum plus "
+        "hydrogens is 6"
+    )
+
+
+@pytest.fixture
+def count_cut_decompositions(monkeypatch):
+    calls = []
+    original = nbg.cut_decomposition
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(nbg, "cut_decomposition", counted)
+    return calls
+
+
+RING_RECORDS = [
+    record_line("biphenyl", ["C"] * 12, [
+        (1, 2, 2), (2, 3, 1), (3, 4, 2), (4, 5, 1), (5, 6, 2), (6, 1, 1),
+        (7, 8, 2), (8, 9, 1), (9, 10, 2), (10, 11, 1), (11, 12, 2), (12, 7, 1),
+        (1, 7, 1)]),
+    record_line("propanol", ["C", "C", "C", "O"], [(1, 2, 1), (2, 3, 1), (3, 4, 1)]),
+    record_line("cyclopropane", ["C"] * 3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)]),
+]
+
+
+def test_coverage_decomposes_each_record_once(count_cut_decompositions):
+    table, rejects = ingest(RING_RECORDS, "t")
+    assert rejects == []
+    report = coverage_report(table)
+    assert report.nbg0_types == {
+        "element-order": 2, "skeleton": 2, "skeleton-no-order": 2}
+    assert len(count_cut_decompositions) == len(RING_RECORDS)
+
+
+def test_encode_decomposes_each_record_once(count_cut_decompositions):
+    tasks = [("encode", "skeleton", line) for line in RING_RECORDS]
+    verdicts = cli._map_ordered(cli._record_task, tasks, workers=1)
+    assert all(ok for _, ok, _ in verdicts)
+    assert len(count_cut_decompositions) == len(RING_RECORDS)

@@ -384,20 +384,21 @@ def test_acceptance_10_descriptor_identities():
 def test_acceptance_11_encode_throughput_and_digests():
     rng = random.Random(1101)
     tasks = [
-        (json.dumps(random_molecule_record(rng, i, max_heavy=32)), "skeleton")
+        ("encode", "skeleton",
+         json.dumps(random_molecule_record(rng, i, max_heavy=32)))
         for i in range(100_000)
     ]
     t0 = time.perf_counter()
-    serial = cli._map_ordered(cli._encode_task, tasks, workers=1)
+    serial = cli._map_ordered(cli._record_task, tasks, workers=1)
     elapsed = time.perf_counter() - t0
-    assert all(ok for ok, _ in serial)
+    assert all(ok for _, ok, _ in serial)
     assert elapsed < 60.0
     digest = hashlib.sha256(
-        "\n".join(payload for _, payload in serial).encode()
+        "\n".join(payload for _, _, payload in serial).encode()
     ).hexdigest()
-    parallel = cli._map_ordered(cli._encode_task, tasks, workers=4)
+    parallel = cli._map_ordered(cli._record_task, tasks, workers=4)
     other = hashlib.sha256(
-        "\n".join(payload for _, payload in parallel).encode()
+        "\n".join(payload for _, _, payload in parallel).encode()
     ).hexdigest()
     assert other == digest
 

@@ -15,7 +15,6 @@ from molspace.coverage import (
     ingest,
     kl_matrix,
     overlap_report,
-    property_vector,
     record_type_counts,
     structure_complement,
     type_set,
@@ -23,7 +22,6 @@ from molspace.coverage import (
 from molspace.errors import (
     EmptyDistribution,
     InvalidArgument,
-    MissingProperty,
 )
 
 from conftest import record_line
@@ -239,11 +237,3 @@ def test_composition_uniformity_counts_distinct_structures():
     report = composition_uniformity(table)
     assert report.structures == {"C4H10": 2, "CH4": 1}
     assert report.flagged == ("CH4",)
-
-
-def test_property_vector_requires_presence():
-    table = make_table("t", [METHANE, ETHANE])
-    assert property_vector(table, "e") == {"methane": -40.0, "ethane": -79.0}
-    with_missing = make_table("m", [METHANE, ETHENE])
-    with pytest.raises(MissingProperty):
-        property_vector(with_missing, "e")

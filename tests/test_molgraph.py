@@ -15,9 +15,7 @@ from molspace.molgraph import (
     HydrogenClampWarning,
     heavy_graph,
     parse_molfile,
-    parse_record_line,
     parse_record_obj,
-    serialize_record,
     validate,
 )
 
@@ -29,7 +27,6 @@ from conftest import (
     ethane,
     random_molecule_record,
     record,
-    record_line,
 )
 
 
@@ -106,24 +103,6 @@ def test_overbonded_auto_hydrogens_clamp_with_warning():
     with pytest.warns(HydrogenClampWarning):
         g = build(["N", "C", "C", "C", "C"], bonds)
     assert g.h_count[0] == 0
-
-
-def test_serialize_round_trip():
-    line = record_line("mol1", ["C", "C", "O"], [(1, 2, 1), (2, 3, 1)])
-    g = parse_record_line(line)
-    out = serialize_record(g)
-    again = parse_record_line(out)
-    assert heavy_graph(again) == heavy_graph(g)
-    assert serialize_record(again) == out
-
-
-def test_serialize_is_deterministic_under_random_input(seed=7):
-    rng = random.Random(seed)
-    for idx in range(200):
-        obj = random_molecule_record(rng, idx, max_heavy=12)
-        g = parse_record_obj(obj)
-        out = serialize_record(g)
-        assert serialize_record(parse_record_line(out)) == out
 
 
 def test_molfile_with_explicit_hydrogens():

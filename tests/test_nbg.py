@@ -7,6 +7,7 @@ import pytest
 from molspace.errors import InvalidArgument, TooLarge
 from molspace.molgraph import heavy_graph, parse_record_obj, validate
 from molspace.nbg import (
+    DEFAULT_MODE,
     MODE_ELEMENT_ORDER,
     MODE_SKELETON,
     MODE_SKELETON_NO_ORDER,
@@ -43,6 +44,9 @@ from conftest import (
     toluene,
 )
 
+
+def extract(g, mode=DEFAULT_MODE):
+    return nbg0_extract(g, cut_decomposition(g).bridges, mode)
 
 def test_cut_decomposition_worked_molecules():
     acid = cut_decomposition(benzoic_acid())
@@ -84,16 +88,16 @@ def test_cut_decomposition_agrees_with_removal_oracle(seed=23):
 
 
 def test_nbg_plus_class_levels():
-    cls = nbg_plus_class(benzoic_acid())
+    cls = nbg_plus_class(cut_decomposition(benzoic_acid()))
     assert (cls.cut_vertex_count, cls.bridge_count, cls.level) == (2, 3, 3)
     assert cls.within_plus
-    cls = nbg_plus_class(phenylethyl_pyridine())
+    cls = nbg_plus_class(cut_decomposition(phenylethyl_pyridine()))
     assert (cls.cut_vertex_count, cls.bridge_count, cls.level) == (3, 3, 3)
     assert cls.within_plus
-    cls = nbg_plus_class(benzene())
+    cls = nbg_plus_class(cut_decomposition(benzene()))
     assert cls.level == 0
     assert cls.within_plus
-    cls = nbg_plus_class(n_hexane())
+    cls = nbg_plus_class(cut_decomposition(n_hexane()))
     assert cls.level == 5
     assert not cls.within_plus
 
@@ -148,26 +152,26 @@ def test_signature_input_validation():
 
 
 def test_extract_benzene_core_modes():
-    assert len(nbg0_extract(benzene(), MODE_SKELETON)) == 1
-    ring = nbg0_extract(benzene(), MODE_SKELETON)[0]
+    assert len(extract(benzene(), MODE_SKELETON)) == 1
+    ring = extract(benzene(), MODE_SKELETON)[0]
     assert ring.na == 6
-    with_orders = nbg0_extract(benzene(), MODE_ELEMENT_ORDER)[0]
-    no_orders = nbg0_extract(benzene(), MODE_SKELETON_NO_ORDER)[0]
+    with_orders = extract(benzene(), MODE_ELEMENT_ORDER)[0]
+    no_orders = extract(benzene(), MODE_SKELETON_NO_ORDER)[0]
     assert with_orders.signature == ring.signature
     assert no_orders.signature != ring.signature
     assert (
-        nbg0_extract(cyclohexane(), MODE_SKELETON_NO_ORDER)[0].signature
+        extract(cyclohexane(), MODE_SKELETON_NO_ORDER)[0].signature
         == no_orders.signature
     )
 
 
 def test_extract_keeps_multiplicity():
-    cores = nbg0_extract(biphenyl(), MODE_SKELETON)
+    cores = extract(biphenyl(), MODE_SKELETON)
     assert len(cores) == 2
     assert cores[0].signature == cores[1].signature
-    assert nbg0_extract(toluene(), MODE_SKELETON)[0].na == 6
-    assert nbg0_extract(n_hexane()) == []
-    assert nbg0_extract(methane()) == []
+    assert extract(toluene(), MODE_SKELETON)[0].na == 6
+    assert extract(n_hexane()) == []
+    assert extract(methane()) == []
 
 
 def test_extract_heteroatom_ring_distinguished_only_by_element_mode():
@@ -177,12 +181,12 @@ def test_extract_heteroatom_ring_distinguished_only_by_element_mode():
     )
     benz = benzene()
     assert (
-        nbg0_extract(pyridine, MODE_SKELETON)[0].signature
-        == nbg0_extract(benz, MODE_SKELETON)[0].signature
+        extract(pyridine, MODE_SKELETON)[0].signature
+        == extract(benz, MODE_SKELETON)[0].signature
     )
     assert (
-        nbg0_extract(pyridine, MODE_ELEMENT_ORDER)[0].signature
-        != nbg0_extract(benz, MODE_ELEMENT_ORDER)[0].signature
+        extract(pyridine, MODE_ELEMENT_ORDER)[0].signature
+        != extract(benz, MODE_ELEMENT_ORDER)[0].signature
     )
 
 
@@ -191,7 +195,7 @@ def test_scaffold_examples():
     assert scaffold(methane()) is None
     ring = scaffold(toluene(), MODE_SKELETON)
     assert ring is not None
-    assert ring.signature == nbg0_extract(benzene(), MODE_SKELETON)[0].signature
+    assert ring.signature == extract(benzene(), MODE_SKELETON)[0].signature
     bip = scaffold(biphenyl(), MODE_SKELETON)
     assert bip is not None and bip.na == 12
 
