@@ -33,7 +33,7 @@ from .descriptors import (
     load_orbital_lines,
     load_reference_lines,
 )
-from .errors import InvalidArgument, MolspaceError, ParseError
+from .errors import InvalidArgument, MissingProperty, MolspaceError, ParseError
 from .molgraph import parse_molfile
 
 WORKERS_ENV = "MOLSPACE_WORKERS"
@@ -425,12 +425,14 @@ def cmd_bind_energy(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
     for record in table.records:
         try:
             if prop not in record.properties:
-                raise MolspaceError(f"record lacks property {prop!r}")
+                raise MissingProperty(f"record lacks property {prop!r}")
             value = binding_energy(
                 record.properties[prop], record.graph.composition(), refs
             )
         except MolspaceError as exc:
-            rejects.append(cov.RejectEntry(0, record.id, cov.reject_reason(exc)))
+            rejects.append(
+                cov.RejectEntry(record.line_no, record.id, cov.reject_reason(exc))
+            )
             continue
         lines.append(f"{record.id}\t{value!r}")
     return _finish(args, cfg, lines, rejects)

@@ -43,6 +43,7 @@ class DatasetRecord:
     properties: dict[str, float]
     mol: str
     cache: dict[Any, Any] = field(default_factory=dict)
+    line_no: int = 0  # input line, from 1; 0 when not read by ingest
 
     @cached_property
     def codes(self) -> tuple[list[str], list[str], list[str]]:
@@ -181,6 +182,9 @@ def ingest(lines: Iterable[str], name: str) -> tuple[DatasetTable, list[RejectEn
     """
     numbered = record_lines(lines)
     verdicts = [judge(accept_record, line, lambda r: r) for _, line in numbered]
+    for (line_no, _), (_, ok, record) in zip(numbered, verdicts):
+        if ok:
+            record.line_no = line_no
     records, rejects = admit(numbered, verdicts)
     return DatasetTable(name=name, records=records), rejects
 

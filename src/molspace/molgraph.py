@@ -402,8 +402,9 @@ _CONNECTIVITY_CAPS = {"N": 4}
 def validate(hg: HeavyGraph) -> list[str]:
     """Return human-readable diagnostics; an empty list means valid.
 
-    Checks per-atom valence loads against element caps and requires the
-    graph to be a single fragment.
+    Checks per-atom valence loads against element caps. Being one
+    fragment is the parsers' check: hydrogen suppression removes only
+    hydrogens with exactly one bond, so it cannot split a parsed molecule.
     """
     diags: list[str] = []
     for k, el in enumerate(hg.elements):
@@ -424,8 +425,4 @@ def validate(hg: HeavyGraph) -> list[str]:
                     f"atom {k + 1} ({el}): neighbor count plus hydrogens is "
                     f"{load}, above the cap of {cap}"
                 )
-    if hg.na > 0:
-        parts = _connected(hg.na, hg.bonds)
-        if parts != 1:
-            diags.append(f"graph is disconnected ({parts} fragments)")
     return diags

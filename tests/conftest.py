@@ -271,3 +271,98 @@ def random_molecule(rng, max_heavy=32, ring_chance=0.3):
 def random_molecule_record(rng, idx, max_heavy=32, props=None):
     elements, bonds = random_molecule(rng, max_heavy)
     return record(f"r{idx}", elements, bonds, props=props)
+
+
+# Symmetric carbon skeletons as (labels, 0-indexed edges). Their large
+# automorphism groups are what the canonical search has to prune.
+
+
+def _tert_butyl_skeleton(centres, groups_per_centre):
+    """Central carbons (bonded in a chain) each carrying tert-butyl groups."""
+    labels = ["C"] * centres
+    edges = [(c, c + 1, 1) for c in range(centres - 1)]
+    for c in range(centres):
+        for _ in range(groups_per_centre):
+            q = len(labels)
+            labels += ["C"] * 4
+            edges += [(c, q, 1), (q, q + 1, 1), (q, q + 2, 1), (q, q + 3, 1)]
+    return tuple(labels), edges
+
+
+def tert_butyl_methane(groups):
+    """Methane carrying 1..4 tert-butyl groups (17 atoms at 4)."""
+    return _tert_butyl_skeleton(1, groups)
+
+
+def hexa_tert_butyl_ethane():
+    """Ethane with three tert-butyl groups on each carbon: 26 atoms."""
+    return _tert_butyl_skeleton(2, 3)
+
+
+def star_graph(leaves, label="C"):
+    """A centre bonded to ``leaves`` vertices; neopentane at 4."""
+    return (label,) + ("C",) * leaves, [(0, k, 1) for k in range(1, leaves + 1)]
+
+
+def complete_graph(n):
+    return ("C",) * n, [(a, b, 1) for a in range(n) for b in range(a + 1, n)]
+
+
+def k33_graph():
+    return ("C",) * 6, [(a, b, 1) for a in range(3) for b in range(3, 6)]
+
+
+def prism_graph():
+    """Triangular prism."""
+    return ("C",) * 6, [
+        (0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1),
+        (0, 3, 1), (1, 4, 1), (2, 5, 1),
+    ]
+
+
+def cubane_graph():
+    return ("C",) * 8, [
+        (a, b, 1) for a in range(8) for b in range(a + 1, 8)
+        if bin(a ^ b).count("1") == 1
+    ]
+
+
+def adamantane_graph():
+    """Bridgeheads 0..3; each CH2 (4..9) joins one pair of bridgeheads."""
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    edges = []
+    for k, (a, b) in enumerate(pairs):
+        edges += [(a, 4 + k, 1), (b, 4 + k, 1)]
+    return ("C",) * 10, edges
+
+
+def dodecahedrane_graph():
+    """Outer pentagon u, spokes v, zig-zag w, inner pentagon z."""
+    edges = []
+    for i in range(5):
+        u, u1, v, v1 = i, (i + 1) % 5, 5 + i, 5 + (i + 1) % 5
+        w, z, z1 = 10 + i, 15 + i, 15 + (i + 1) % 5
+        edges += [(u, u1, 1), (u, v, 1), (v, w, 1), (w, v1, 1), (w, z, 1),
+                  (z, z1, 1)]
+    return ("C",) * 20, edges
+
+
+def petersen_graph():
+    return ("C",) * 10, (
+        [(i, (i + 1) % 5, 1) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5, 1) for i in range(5)]
+        + [(i, i + 5, 1) for i in range(5)]
+    )
+
+
+SYMMETRIC_GRAPHS = {
+    "tetra-tert-butylmethane": tert_butyl_methane(4),
+    "tri-tert-butylmethane": tert_butyl_methane(3),
+    "neopentane": star_graph(4),
+    "cubane": cubane_graph(),
+    "adamantane": adamantane_graph(),
+    "dodecahedrane": dodecahedrane_graph(),
+    "petersen": petersen_graph(),
+    "k33": k33_graph(),
+    "prism": prism_graph(),
+}

@@ -2,6 +2,7 @@
 per record."""
 
 import json
+import time
 
 import pytest
 
@@ -9,7 +10,11 @@ from molspace import cli, nbg
 from molspace.cli import main
 from molspace.coverage import coverage_report, ingest
 
-from conftest import record_line
+from conftest import (
+    hexa_tert_butyl_ethane,
+    record_line,
+    tert_butyl_methane,
+)
 
 C2_TRIPLE = ["C", "C"], [(1, 2, 3)]
 
@@ -151,6 +156,61 @@ def test_molfile_goes_through_validation(command, tmp_path, capsys):
         "line 1 id=ethyne6h ParseError: atom 1 (C): bond order sum plus "
         "hydrogens is 6"
     )
+
+
+TWO_METHANES_MOLFILE = "\n".join(
+    ["two methanes", "  test", "",
+     "  2  0  0  0  0  0  0  0  0  0999 V2000"]
+    + ["    0.0000    0.0000    0.0000 C   0  0  0  0  0  0  0  0  0  0  0  0"] * 2
+    + ["M  END", ""]
+)
+
+
+@pytest.mark.parametrize("input_format, text, reason", [
+    ("records", record_line("pair", ["C", "O"], []) + "\n",
+     "line 1 id=pair ParseError: record describes more than one fragment"),
+    ("molfile", TWO_METHANES_MOLFILE,
+     "line 1 id=? ParseError: molfile describes more than one fragment"),
+], ids=["records", "molfile"])
+def test_two_fragments_are_rejected_by_the_parser(
+    input_format, text, reason, tmp_path, capsys
+):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    code = main(
+        ["encode", "--input", str(path), "--input-format", input_format]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith(reason + "\n")
+
+
+def skeleton_line(rec_id, skeleton):
+    labels, edges = skeleton
+    return record_line(rec_id, labels, [(a + 1, b + 1, c) for a, b, c in edges])
+
+
+@pytest.mark.parametrize("argv", [
+    ["kl", "{a}", "{b}", "--feature", "nbg_plus"],
+    ["compare", "{a}", "{b}", "--feature", "nbg_plus"],
+    ["complement", "--train", "{b}", "--eval", "{a}", "--feature", "nbg_plus"],
+], ids=["kl", "compare", "complement"])
+def test_highly_symmetric_molecules_finish_quickly(argv, tmp_path, capsys):
+    a, b, out = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "out.txt"
+    a.write_text(
+        skeleton_line("hexa-tBu-ethane", hexa_tert_butyl_ethane()) + "\n"
+        + skeleton_line("tetra-tBu-methane", tert_butyl_methane(4)) + "\n"
+    )
+    b.write_text(
+        record_line("methane", ["C"], []) + "\n"
+        + skeleton_line("tri-tBu-methane", tert_butyl_methane(3)) + "\n"
+    )
+    t0 = time.perf_counter()
+    code = main([arg.format(a=a, b=b) for arg in argv] + ["--out", str(out)])
+    assert time.perf_counter() - t0 < 3.0
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    if argv[0] == "complement":
+        assert body(out) == ["hexa-tBu-ethane", "tetra-tBu-methane"]
 
 
 @pytest.fixture

@@ -291,6 +291,28 @@ def test_bind_energy_missing_reference_is_data_error(capsys, tmp_path):
     assert "rejected" in err
 
 
+def test_bind_energy_rejects_a_record_without_the_property(capsys, tmp_path):
+    refs = write(
+        tmp_path, "refs.jsonl",
+        '{"element":"C","energy":-37.8}',
+        '{"element":"H","energy":-0.5}',
+    )
+    data = write(
+        tmp_path, "ds.jsonl",
+        record_line("a", ["C"], [], props={"e_tot": -40.3}),
+        record_line("b", ["C"], [], props={"e0": -40.3}),
+    )
+    code, out, err = run(
+        capsys, "bind-energy", "--input", data, "--refs", refs,
+        "--property", "e_tot",
+    )
+    assert code == 1
+    assert [row.split("\t")[0] for row in body_lines(out)] == ["id", "a"]
+    assert err.startswith(
+        "line 2 id=b MissingProperty: record lacks property 'e_tot'\n"
+    )
+
+
 def test_align_cli_round_trip(capsys, tmp_path):
     data = write(tmp_path, "ds.jsonl", METHANE, ETHANE, WATER)
     model_path = tmp_path / "model.txt"

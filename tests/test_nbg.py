@@ -1,9 +1,12 @@
 """Cut decomposition, canonical signatures, core extraction and generation."""
 
+import hashlib
 import random
+import time
 
 import pytest
 
+from molspace.cli import main
 from molspace.errors import InvalidArgument, TooLarge
 from molspace.molgraph import heavy_graph, parse_record_obj, validate
 from molspace.nbg import (
@@ -25,6 +28,7 @@ from molspace.nbg import (
 )
 
 from conftest import (
+    SYMMETRIC_GRAPHS,
     benzene,
     benzoic_acid,
     biphenyl,
@@ -32,11 +36,14 @@ from conftest import (
     build,
     cyclohexane,
     ethane,
+    hexa_tert_butyl_ethane,
+    k33_graph,
     methane,
     n_hexane,
     oracle_cuts,
     permute_graph,
     phenylethyl_pyridine,
+    prism_graph,
     propane,
     random_connected_graph,
     random_labeled_graph,
@@ -124,12 +131,61 @@ def test_signature_separates_non_isomorphic_pairs(seed=37):
 
 
 def test_signature_separates_k33_from_prism():
-    k33 = [(0, 3, 1), (0, 4, 1), (0, 5, 1), (1, 3, 1), (1, 4, 1), (1, 5, 1),
-           (2, 3, 1), (2, 4, 1), (2, 5, 1)]
-    prism = [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1),
-             (0, 3, 1), (1, 4, 1), (2, 5, 1)]
-    labels = ("C",) * 6
-    assert canonical_signature(labels, k33) != canonical_signature(labels, prism)
+    assert canonical_signature(*k33_graph()) != canonical_signature(*prism_graph())
+
+
+# Computed by the canonicalizer before it pruned by automorphisms, which
+# must leave every signature byte-identical. Each graph is canonicalized
+# under the relabelling drawn by random.Random(its position, from 1).
+FROZEN_SIGNATURES = {
+    "tetra-tert-butylmethane": "C,C,C,C,C,C,C,C,C,C,C,C,C,C,C,C,C|"
+    "00000000000100000000000000100000000000001000000000000010000000000010"
+    "00000000010000000000100000000100000001000000010000010000100001001011",
+    "tri-tert-butylmethane": "C,C,C,C,C,C,C,C,C,C,C,C,C|"
+    "00000000010000000000100000000010000000001000000010000001000000100001"
+    "0001111000",
+    "neopentane": "C,C,C,C,C|0001001011",
+    "cubane": "C,C,C,C,C,C,C,C|1110000001100010100110001011",
+    "adamantane": "C,C,C,C,C,C,C,C,C,C|"
+    "000001100000010100001001000110001010011000000",
+    "dodecahedrane": "C,C,C,C,C,C,C,C,C,C,C,C,C,C,C,C,C,C,C,C|"
+    "11100000000000000000010100000000000000010100000000000000001100000000"
+    "00100001000000000000001000000000100010000000010001000000000001000000"
+    "000010000010001000010010000000100000010101000010001011",
+    "petersen": "C,C,C,C,C,C,C,C,C,C|"
+    "110000010010010000100100010100110000010001011",
+    "k33": "C,C,C,C,C,C|011101110001011",
+    "prism": "C,C,C,C,C,C|111001010001111",
+}
+# sha256 of the output of `molspace generate-nbg0 --max-heavy 7` (951 lines).
+FROZEN_GENERATE_7_SHA256 = (
+    "e5eb1e1d3251b6140c1cbe9ad7579eddd9c431e97ed83877ea1de9c1871ea718"
+)
+
+
+def test_signatures_of_symmetric_graphs_are_frozen():
+    for seed, (name, (labels, edges)) in enumerate(
+        SYMMETRIC_GRAPHS.items(), start=1
+    ):
+        p_labels, p_edges = permute_graph(random.Random(seed), labels, edges)
+        assert canonical_signature(p_labels, p_edges) == FROZEN_SIGNATURES[name], name
+
+
+def test_generate_nbg0_output_is_frozen(capsys):
+    assert main(["generate-nbg0", "--max-heavy", "7"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_GENERATE_7_SHA256
+
+
+def test_hexa_tert_butylethane_is_fast_and_invariant():
+    labels, edges = hexa_tert_butyl_ethane()
+    base = canonical_signature(labels, edges)
+    rng = random.Random(71)
+    for _ in range(20):
+        p_labels, p_edges = permute_graph(rng, labels, edges)
+        t0 = time.perf_counter()
+        assert canonical_signature(p_labels, p_edges) == base
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_signature_round_trips_through_decode(seed=41):
