@@ -20,7 +20,6 @@ from .align import (
     save_model,
 )
 from .coverage import (
-    CompositionReport,
     CoverageReport,
     DatasetRecord,
     DatasetTable,
@@ -28,8 +27,6 @@ from .coverage import (
     KlMatrix,
     RejectEntry,
     accept_record,
-    composition_key,
-    composition_uniformity,
     coverage_report,
     expansion_subsets,
     histogram,
@@ -70,10 +67,7 @@ from .gcn import (
     count_gcn2,
     enumerate_gcn0,
     enumerate_gcn1,
-    enumerate_gcn2_stream,
     gcn0_of_atom,
-    gcn1_of_atom,
-    gcn2_of_atom,
     gcn2_level,
     parse_gcn_code,
 )
@@ -93,7 +87,6 @@ from .nbg import (
     canonical_signature,
     cut_decomposition,
     decode_signature,
-    isovalent_substitutions,
     nbg0_extract,
     nbg0_generate,
     nbg_plus_class,

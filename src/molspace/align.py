@@ -15,11 +15,9 @@ RankDeficient instead of silently pseudo-inverting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import sqrt
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Mapping
 
 from .coverage import DatasetTable, record_type_counts
 from .errors import (
@@ -100,17 +98,6 @@ def build_features(
     return out
 
 
-def _infer_mode(pairs: Sequence[tuple[FeatureVector, float]]) -> str:
-    keys = set()
-    for fv, _ in pairs:
-        keys.update(fv.counts)
-    if not keys:
-        return "plain"
-    if keys <= {"H", "C", "N", "O", "F"}:
-        return "composition"
-    return "gcn1"
-
-
 def _canonical_pairs(
     pairs: Iterable[tuple[FeatureVector, float | None]]
 ) -> list[tuple[FeatureVector, float]]:
@@ -129,25 +116,25 @@ def _canonical_pairs(
 
 def fit(
     pairs: Iterable[tuple[FeatureVector, float | None]],
-    ridge: float | None = None,
-    mode: str | None = None,
+    mode: str,
+    ridge: float = DEFAULT_RIDGE,
 ) -> AlignmentModel:
     """Least-squares fit of the alignment form over feature/target pairs.
 
-    ridge defaults to 1e-8; pass 0.0 for an exact unregularized fit, which
-    raises RankDeficient when the normal matrix is singular. The result is
-    deterministic and independent of the order of the pairs.
+    mode names the feature mode the pairs were built with (build_features)
+    and is stored in the model. Pass ridge 0.0 for an exact unregularized
+    fit, which raises RankDeficient when the normal matrix is singular. The
+    result is deterministic and independent of the order of the pairs.
     """
-    if ridge is None:
-        ridge = DEFAULT_RIDGE
+    # numpy's only use: imported here so that no other command loads it.
+    import numpy as np
+
     if ridge < 0:
         raise InvalidArgument(f"ridge must be non-negative, got {ridge}")
     data = _canonical_pairs(pairs)
     if not data:
         raise InvalidArgument("fit requires at least one pair")
-    if mode is None:
-        mode = _infer_mode(data)
-    elif mode not in MODES:
+    if mode not in MODES:
         raise InvalidArgument(f"mode must be one of {MODES}, got {mode!r}")
 
     keys = sorted({k for fv, _ in data for k in fv.counts})
@@ -176,28 +163,18 @@ def fit(
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(str(exc)) from exc
 
-    coefficients = {k: float(beta[key_pos[k]]) for k in keys}
     model = AlignmentModel(
         mode=mode,
         c0=float(beta[0]),
-        coefficients=coefficients,
+        coefficients={k: float(beta[key_pos[k]]) for k in keys},
         b0=float(beta[dim - 1]),
         ridge=float(ridge),
         n_records=len(data),
         mae=0.0,
         rmsd=0.0,
     )
-    stats = residual_stats(model, [(fv, t) for fv, t in data])
-    return AlignmentModel(
-        mode=mode,
-        c0=model.c0,
-        coefficients=coefficients,
-        b0=model.b0,
-        ridge=float(ridge),
-        n_records=len(data),
-        mae=stats.mae,
-        rmsd=stats.rmsd,
-    )
+    stats = residual_stats(model, data)
+    return replace(model, mae=stats.mae, rmsd=stats.rmsd)
 
 
 def apply(model: AlignmentModel, fv: FeatureVector) -> float:

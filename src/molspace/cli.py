@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
@@ -164,8 +164,7 @@ _RENDER = {"encode": _encode_record, "cutset": _cutset_record}
 
 
 def _accept_molfile(text: str) -> cov.DatasetRecord:
-    mol = parse_molfile(text)
-    return cov.accept_molecule(replace(mol, id=mol.id or "molfile"))
+    return cov.accept_molecule(parse_molfile(text))
 
 
 def _record_task(task: tuple[str, str, str]) -> cov.Verdict:

@@ -4,15 +4,15 @@ A dataset table holds parsed heavy-atom records plus their numeric
 properties. On top of it this module computes type inventories for both
 representation axes (local-valence codes and bridge-free topologies),
 overlap regions between tables, smoothed Kullback-Leibler divergence
-matrices, property histograms, threshold-based expansion subsets,
-unseen-structure complements and composition uniformity reports.
+matrices, property histograms, threshold-based expansion subsets and
+unseen-structure complements.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable
 
@@ -33,8 +33,6 @@ TYPE_FEATURES = ("gcn0", "gcn1", "gcn2", "nbg0", "scaffold", "nbg_plus")
 # Feature axes accepted by structure_complement.
 COMPLEMENT_FEATURES = ("gcn1", "nbg_plus", "scaffold")
 
-COMPOSITION_ELEMENT_ORDER = ("F", "O", "N", "C", "H")
-
 
 @dataclass
 class DatasetRecord:
@@ -42,7 +40,6 @@ class DatasetRecord:
     graph: HeavyGraph
     properties: dict[str, float]
     mol: str
-    cache: dict[Any, Any] = field(default_factory=dict)
     line_no: int = 0  # input line, from 1; 0 when not read by ingest
 
     @cached_property
@@ -192,13 +189,9 @@ def ingest(lines: Iterable[str], name: str) -> tuple[DatasetTable, list[RejectEn
 def record_type_counts(
     record: DatasetRecord, feature: str, mode: str = nbg.DEFAULT_MODE
 ) -> Counter:
-    """Multiset of feature types contributed by one record (cached)."""
+    """Multiset of feature types contributed by one record."""
     if feature not in TYPE_FEATURES:
         raise InvalidArgument(f"unknown feature {feature!r}")
-    key = (feature, mode if feature in ("nbg0", "scaffold") else None)
-    cached = record.cache.get(key)
-    if cached is not None:
-        return cached
     g = record.graph
     counts: Counter = Counter()
     if feature in ("gcn0", "gcn1", "gcn2"):
@@ -216,7 +209,6 @@ def record_type_counts(
             g.elements, list(g.bonds), nbg.MODE_ELEMENT_ORDER
         )
         counts[topo.signature] += 1
-    record.cache[key] = counts
     return counts
 
 
@@ -507,42 +499,3 @@ def structure_complement(
         if any(x not in known for x in types):
             out.add(record.id)
     return out
-
-
-def composition_key(g: HeavyGraph) -> str:
-    """Element-composition key in F, O, N, C, H order ('CH4', 'C2H6')."""
-    comp = g.composition()
-    parts = []
-    for el in COMPOSITION_ELEMENT_ORDER:
-        count = comp.get(el, 0)
-        if count == 0:
-            continue
-        parts.append(el if count == 1 else f"{el}{count}")
-    return "".join(parts)
-
-
-@dataclass(frozen=True)
-class CompositionReport:
-    """Distinct structure counts per composition; flagged = below 2."""
-
-    structures: dict[str, int]
-    flagged: tuple[str, ...]
-
-
-def composition_uniformity(t: DatasetTable) -> CompositionReport:
-    """Count distinct molecular structures per element composition.
-
-    Structures are distinguished by exact canonical form over
-    (element, hydrogen count) vertex labels and bond orders, so conformer
-    duplicates collapse. Compositions represented by fewer than two
-    distinct structures are flagged.
-    """
-    per_key: dict[str, set[str]] = {}
-    for record in t.records:
-        g = record.graph
-        labels = tuple(f"{el}{h}" for el, h in zip(g.elements, g.h_count))
-        sig = nbg.canonical_signature(labels, list(g.bonds))
-        per_key.setdefault(composition_key(g), set()).add(sig)
-    structures = {k: len(per_key[k]) for k in sorted(per_key)}
-    flagged = tuple(k for k in sorted(per_key) if len(per_key[k]) < 2)
-    return CompositionReport(structures=structures, flagged=flagged)

@@ -16,9 +16,9 @@ exact enumeration and counting routines; counts are exact big integers.
 from __future__ import annotations
 
 import re
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InvalidArgument, InvalidEnvironment, ParseError
 from .molgraph import HeavyGraph
@@ -89,18 +89,6 @@ def format_gcn2(center: str, neighbor_gcn1: Iterable[str]) -> str:
     if not nbrs:
         return center
     return center + "[" + ",".join(nbrs) + "]"
-
-
-def gcn1_of_atom(g: HeavyGraph, i: int) -> str:
-    """Level-1 code of atom i."""
-    center = gcn0_of_atom(g, i)
-    return format_gcn1(center, (gcn0_of_atom(g, j) for j, _ in g.neighbors[i]))
-
-
-def gcn2_of_atom(g: HeavyGraph, i: int) -> str:
-    """Level-2 code of atom i."""
-    center = gcn0_of_atom(g, i)
-    return format_gcn2(center, (gcn1_of_atom(g, j) for j, _ in g.neighbors[i]))
 
 
 def atom_codes(g: HeavyGraph) -> tuple[list[str], list[str], list[str]]:
@@ -181,7 +169,7 @@ def _universe(
     parsed: list[tuple[str, tuple[str, ...]]],
     elements: Iterable[str] | None,
 ) -> tuple[str, ...]:
-    """Element universe for level-2 counting and streaming.
+    """Element universe for level-2 counting.
 
     Explicit elements win; otherwise the universe is read off the codes in
     the input list, and an empty list leaves the universe unrestricted.
@@ -252,47 +240,6 @@ def count_gcn2(
         1 for c in GCN0_TABLE if heavy_digit(c) == 0 and c[0] in universe
     )
     return total
-
-
-def enumerate_gcn2_stream(
-    gcn1_list: Iterable[str],
-    limit: int | None = None,
-    elements: Iterable[str] | None = None,
-) -> Iterator[str]:
-    """Yield the level-2 codes counted by count_gcn2, lazily.
-
-    Centers come in table order; for each center the neighbor multisets
-    come in descending-lexicographic order. Intended for small universes;
-    the stream agrees with count_gcn2 in cardinality by construction.
-    """
-    parsed = _parse_gcn1_list(list(gcn1_list))
-    universe = _universe(parsed, elements)
-    formatted = [format_gcn1(center, nbrs) for center, nbrs in parsed]
-
-    def generate() -> Iterator[str]:
-        for center in GCN0_TABLE:
-            n = heavy_digit(center)
-            if n < 1:
-                continue
-            pool = sorted(
-                (
-                    formatted[k]
-                    for k, (_c, nbrs) in enumerate(parsed)
-                    if center in nbrs
-                ),
-                reverse=True,
-            )
-            for combo in combinations_with_replacement(pool, n):
-                yield center + "[" + ",".join(combo) + "]"
-        for code in GCN0_TABLE:
-            if heavy_digit(code) == 0 and code[0] in universe:
-                yield code
-
-    if limit is None:
-        return generate()
-    if limit < 0:
-        raise InvalidArgument(f"limit must be non-negative, got {limit}")
-    return islice(generate(), limit)
 
 
 def gcn2_level(g: HeavyGraph) -> int:

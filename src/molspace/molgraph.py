@@ -158,16 +158,27 @@ def _connected(natoms: int, bonds: Iterable[tuple[int, int, int]]) -> int:
     return parts
 
 
-def parse_molfile(text: str, id: str = "") -> MolGraph:
+def parse_molfile(text: str) -> MolGraph:
     """Parse a single V2000 connection table.
 
-    Element symbols are read from their fixed columns; coordinates, charge
-    and stereo fields are ignored. Raises UnsupportedElement for atoms
-    outside H/C/N/O/F, UnsupportedBondOrder for bond codes other than
-    1 to 3 (the aromatic code 4 included), and ParseError for structural
-    problems (truncation, bad counts, duplicate bonds, multiple fragments).
+    The title line names the molecule ("molfile" when it is blank), and
+    errors carry that name as ``record_id``. Element symbols are read from
+    their fixed columns; coordinates, charge and stereo fields are ignored.
+    Raises UnsupportedElement for atoms outside H/C/N/O/F,
+    UnsupportedBondOrder for bond codes other than 1 to 3 (the aromatic
+    code 4 included), and ParseError for structural problems (truncation,
+    bad counts, duplicate bonds, multiple fragments).
     """
     lines = text.splitlines()
+    name = (lines[0].strip() if lines else "") or "molfile"
+    try:
+        return _parse_molfile_blocks(name, lines)
+    except MolspaceError as exc:
+        exc.record_id = name
+        raise
+
+
+def _parse_molfile_blocks(name: str, lines: list[str]) -> MolGraph:
     if len(lines) < 4:
         raise ParseError("molfile has fewer than 4 lines")
     counts = lines[3]
@@ -205,7 +216,6 @@ def parse_molfile(text: str, id: str = "") -> MolGraph:
     bonds = _normalize_bonds(raw_bonds, natoms)
     if _connected(natoms, bonds) != 1:
         raise ParseError("molfile describes more than one fragment")
-    name = id or lines[0].strip()
     return MolGraph(
         id=name,
         elements=tuple(elements),

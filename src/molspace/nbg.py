@@ -3,9 +3,8 @@
 The topological axis of the representation splits a molecule at its cut
 vertices and bridges. What remains after deleting the bridges is a set of
 ring/cage cores; those cores, canonicalized, are the level-0 topology types.
-A small recursive generator enumerates every such core up to a heavy-atom
-bound, and an isovalent substitution pass decorates carbon skeletons with
-nitrogen or oxygen where neutral valences permit.
+A breadth-first generator enumerates every such core up to a heavy-atom
+bound.
 
 Canonical forms are exact: iterative color refinement over
 (label, degree, incident edge orders) followed by an
@@ -23,7 +22,6 @@ non-isomorphic labeled graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable
 
 from .errors import InvalidArgument, TooLarge
@@ -511,12 +509,6 @@ def nbg0_generate(max_heavy: int) -> set[NbgTopology]:
     by canonical signature. Output order is irrelevant; callers serialize
     the set sorted.
     """
-    graphs = generate_with_graphs(max_heavy)
-    return {topo for topo, _ in graphs}
-
-
-def generate_with_graphs(max_heavy: int) -> list[tuple[NbgTopology, HeavyGraph]]:
-    """As nbg0_generate, but keep one representative graph per signature."""
     if not MIN_GENERATE_HEAVY <= max_heavy <= MAX_GENERATE_HEAVY:
         raise InvalidArgument(
             f"max_heavy must lie in "
@@ -526,9 +518,7 @@ def generate_with_graphs(max_heavy: int) -> list[tuple[NbgTopology, HeavyGraph]]
     seed = _state_graph(3, seed_edges)
     seed_topo = topology_of(seed.elements, list(seed.bonds), MODE_ELEMENT_ORDER)
 
-    seen: dict[str, tuple[NbgTopology, HeavyGraph]] = {
-        seed_topo.signature: (seed_topo, seed)
-    }
+    seen: dict[str, NbgTopology] = {seed_topo.signature: seed_topo}
     frontier: list[tuple[int, dict[tuple[int, int], int]]] = [(3, seed_edges)]
     while frontier:
         next_frontier: list[tuple[int, dict[tuple[int, int], int]]] = []
@@ -542,52 +532,10 @@ def generate_with_graphs(max_heavy: int) -> list[tuple[NbgTopology, HeavyGraph]]
                 )
                 if topo.signature in seen:
                     continue
-                seen[topo.signature] = (topo, candidate)
+                seen[topo.signature] = topo
                 next_frontier.append((n2, edges2))
         frontier = next_frontier
-    return [seen[sig] for sig in sorted(seen)]
-
-
-# Order-sum caps for neutral-valence substitution of a skeleton carbon.
-_SUBSTITUTION_CAPS = {"N": 3, "O": 2}
-
-
-def isovalent_substitutions(
-    t: NbgTopology, heteroatoms: set[str] | frozenset[str]
-) -> set[NbgTopology]:
-    """Decorate a carbon core with heteroatoms where neutral valence allows.
-
-    Each carbon may become N when its incident bond order sum is at most 3,
-    or O when it is at most 2 (implicit hydrogens absorb the slack). All
-    assignments are canonicalized and deduplicated; the unsubstituted input
-    is always a member of the result.
-    """
-    bad = set(heteroatoms) - set(_SUBSTITUTION_CAPS)
-    if bad:
-        raise InvalidArgument(f"unsupported heteroatoms: {sorted(bad)}")
-    labels, edges = decode_signature(t.signature)
-    n = len(labels)
-    order_sum = [0] * n
-    for i, j, order in edges:
-        order_sum[i] += order
-        order_sum[j] += order
-
-    options: list[list[str]] = []
-    for v in range(n):
-        opts = ["C"]
-        for el in sorted(heteroatoms):
-            if order_sum[v] <= _SUBSTITUTION_CAPS[el]:
-                opts.append(el)
-        options.append(opts)
-
-    out: set[NbgTopology] = set()
-    for assignment in product(*options):
-        out.add(
-            NbgTopology(
-                signature=canonical_signature(tuple(assignment), edges), na=n
-            )
-        )
-    return out
+    return set(seen.values())
 
 
 def serialize_topologies(

@@ -170,7 +170,7 @@ TWO_METHANES_MOLFILE = "\n".join(
     ("records", record_line("pair", ["C", "O"], []) + "\n",
      "line 1 id=pair ParseError: record describes more than one fragment"),
     ("molfile", TWO_METHANES_MOLFILE,
-     "line 1 id=? ParseError: molfile describes more than one fragment"),
+     "line 1 id=two methanes ParseError: molfile describes more than one fragment"),
 ], ids=["records", "molfile"])
 def test_two_fragments_are_rejected_by_the_parser(
     input_format, text, reason, tmp_path, capsys

@@ -277,6 +277,7 @@ def test_acceptance_08_alignment_recovery_and_nesting():
             pool_table(rng, target=lambda k, e0: 2.0 * e0 + 3.0),
             "e0", "plain", "e1",
         ),
+        "plain",
         ridge=0.0,
     )
     assert close_rel(model.c0, 2.0)
@@ -297,6 +298,7 @@ def test_acceptance_08_alignment_recovery_and_nesting():
         build_features(
             pool_table(rng, target=comp_target), "e0", "composition", "e1",
         ),
+        "composition",
         ridge=0.0,
     )
     assert close_rel(model.c0, 1.75)
@@ -312,7 +314,7 @@ def test_acceptance_08_alignment_recovery_and_nesting():
         sses = []
         for mode in ("plain", "composition", "gcn1"):
             pairs = build_features(table, "e0", mode, "e1")
-            m = fit(pairs, ridge=0.0)
+            m = fit(pairs, mode, ridge=0.0)
             sses.append(sse(m, pairs))
         slack = 1e-9 * (1.0 + sses[0])
         assert sses[2] <= sses[1] + slack

@@ -104,7 +104,7 @@ def test_fit_plain_exact_recovery():
     rng = random.Random(101)
     table = pool_table(rng, target=lambda k, e0: 2.0 * e0 + 3.0)
     pairs = build_features(table, "e0", "plain", "e1")
-    model = fit(pairs, ridge=0.0)
+    model = fit(pairs, "plain", ridge=0.0)
     assert model.c0 == pytest.approx(2.0, rel=1e-9)
     assert model.b0 == pytest.approx(3.0, rel=1e-9)
     assert model.mae < 1e-9
@@ -125,7 +125,7 @@ def test_fit_composition_exact_recovery():
 
     table = pool_table(rng, target=target)
     pairs = build_features(table, "e0", "composition", "e1")
-    model = fit(pairs, ridge=0.0)
+    model = fit(pairs, "composition", ridge=0.0)
     assert model.c0 == pytest.approx(c0, rel=1e-6)
     assert model.b0 == pytest.approx(b0, rel=1e-6)
     for el, value in truth.items():
@@ -144,7 +144,7 @@ def test_fit_gcn1_exact_recovery():
         (fv, c0 * fv.e0 + sum(truth[k] * n for k, n in fv.counts.items()) + b0)
         for fv, _ in code_pairs
     ]
-    model = fit(exact, ridge=0.0, mode="gcn1")
+    model = fit(exact, "gcn1", ridge=0.0)
     for code, value in truth.items():
         assert model.coefficients[code] == pytest.approx(value, rel=1e-6)
     assert model.rmsd < 1e-7
@@ -159,11 +159,13 @@ def test_fit_duplicated_columns_need_ridge():
         pairs.append(
             (FeatureVector(e0=e0, counts={"X": n, "Y": n}), 3.0 * e0 + n + 0.5)
         )
+    # Arbitrary count keys, as gcn1 mode has them.
     with pytest.raises(RankDeficient):
-        fit(pairs, ridge=0.0)
-    model = fit(pairs, ridge=1e-8)
+        fit(pairs, "gcn1", ridge=0.0)
+    model = fit(pairs, "gcn1", ridge=1e-8)
     clean = fit(
         [(FeatureVector(e0=fv.e0, counts={"X": fv.counts["X"]}), t) for fv, t in pairs],
+        "gcn1",
         ridge=1e-8,
     )
     for fv, _ in pairs:
@@ -176,10 +178,10 @@ def test_fit_is_record_order_independent():
     rng = random.Random(113)
     table = pool_table(rng)
     pairs = build_features(table, "e0", "gcn1", "e1")
-    model_a = fit(pairs, ridge=1e-8)
+    model_a = fit(pairs, "gcn1", ridge=1e-8)
     shuffled = list(pairs)
     rng.shuffle(shuffled)
-    model_b = fit(shuffled, ridge=1e-8)
+    model_b = fit(shuffled, "gcn1", ridge=1e-8)
     assert model_a == model_b
 
 
@@ -190,7 +192,7 @@ def test_nesting_inequality_over_random_datasets(seed=127):
         sses = {}
         for mode in ("plain", "composition", "gcn1"):
             pairs = build_features(table, "e0", mode, "e1")
-            model = fit(pairs, ridge=0.0, mode=mode)
+            model = fit(pairs, mode, ridge=0.0)
             sses[mode] = sse(model, [(fv, t) for fv, t in pairs])
         slack = 1e-9 * (1.0 + sses["plain"])
         assert sses["composition"] <= sses["plain"] + slack
@@ -201,9 +203,9 @@ def test_shift_scale_equivariance():
     rng = random.Random(131)
     table = pool_table(rng)
     pairs = build_features(table, "e0", "composition", "e1")
-    base = fit(pairs, ridge=0.0)
+    base = fit(pairs, "composition", ridge=0.0)
     a, b = 2.5, -7.0
-    scaled = fit([(fv, a * t + b) for fv, t in pairs], ridge=0.0)
+    scaled = fit([(fv, a * t + b) for fv, t in pairs], "composition", ridge=0.0)
     assert scaled.c0 == pytest.approx(a * base.c0, rel=1e-9, abs=1e-9)
     assert scaled.b0 == pytest.approx(a * base.b0 + b, rel=1e-9, abs=1e-9)
     for key, value in base.coefficients.items():
@@ -252,7 +254,7 @@ def test_model_round_trips_through_text():
     rng = random.Random(137)
     table = pool_table(rng)
     pairs = build_features(table, "e0", "gcn1", "e1")
-    model = fit(pairs, ridge=1e-8)
+    model = fit(pairs, "gcn1", ridge=1e-8)
     text = save_model(model)
     again = load_model(text)
     assert again == model
@@ -268,8 +270,10 @@ def test_model_round_trips_through_text():
 
 def test_fit_input_validation():
     with pytest.raises(InvalidArgument):
-        fit([])
+        fit([], "plain")
     with pytest.raises(InvalidArgument):
-        fit([(FeatureVector(e0=1.0, counts={}), None)])
+        fit([(FeatureVector(e0=1.0, counts={}), None)], "plain")
     with pytest.raises(InvalidArgument):
-        fit([(FeatureVector(e0=1.0, counts={}), 1.0)], ridge=-1e-3)
+        fit([(FeatureVector(e0=1.0, counts={}), 1.0)], "plain", ridge=-1e-3)
+    with pytest.raises(InvalidArgument):
+        fit([(FeatureVector(e0=1.0, counts={}), 1.0)], "magic")

@@ -2,9 +2,15 @@
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import molspace
 from molspace.cli import main
 
 from conftest import WATER_MOLFILE, record_line
@@ -339,3 +345,30 @@ def test_align_cli_round_trip(capsys, tmp_path):
     assert float(stats["mae"]) < 1e-6
     assert stats["outliers"] == "0"
     assert stats["n"] == "3"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # Only `align fit` needs numpy; it imports it when it runs.
+    env = dict(os.environ)
+    src = str(Path(molspace.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, molspace.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout == "False\n"
+
+
+def test_readme_library_example_runs(capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    # Each print line ends in a comment holding what it prints.
+    expected = [
+        line.split("  # ", 1)[1]
+        for line in blocks[0].splitlines()
+        if line.startswith("print(")
+    ]
+    assert expected and capsys.readouterr().out.splitlines() == expected

@@ -7,8 +7,6 @@ import pytest
 
 from molspace.coverage import (
     DatasetTable,
-    composition_key,
-    composition_uniformity,
     coverage_report,
     expansion_subsets,
     histogram,
@@ -220,20 +218,3 @@ def test_structure_complement_flags_unseen_types():
     with pytest.raises(InvalidArgument):
         structure_complement(train, eval_t, "gcn0")
 
-
-def test_composition_key_ordering():
-    table = make_table("t", [METHANE, ETHANE, WATER])
-    keys = [composition_key(r.graph) for r in table.records]
-    assert keys == ["CH4", "C2H6", "OH2"]
-
-
-def test_composition_uniformity_counts_distinct_structures():
-    butane = record_line("butane", ["C"] * 4, [(1, 2, 1), (2, 3, 1), (3, 4, 1)])
-    isobutane = record_line("isobutane", ["C"] * 4, [(1, 2, 1), (1, 3, 1), (1, 4, 1)])
-    butane_conf = record_line(
-        "butane_conf", ["C"] * 4, [(1, 2, 1), (2, 3, 1), (3, 4, 1)], mol="butane"
-    )
-    table = make_table("t", [butane, isobutane, butane_conf, METHANE])
-    report = composition_uniformity(table)
-    assert report.structures == {"C4H10": 2, "CH4": 1}
-    assert report.flagged == ("CH4",)

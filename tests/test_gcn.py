@@ -13,13 +13,10 @@ from molspace.gcn import (
     count_gcn2,
     enumerate_gcn0,
     enumerate_gcn1,
-    enumerate_gcn2_stream,
     format_gcn1,
     format_gcn2,
     gcn0_of_atom,
-    gcn1_of_atom,
     gcn2_level,
-    gcn2_of_atom,
     multichoose,
     parse_gcn_code,
 )
@@ -77,7 +74,7 @@ def test_gcn1_sorts_neighbors_descending():
     assert format_gcn1("C31", ["C13", "C40", "C22"]) == "C31(C40,C22,C13)"
     assert format_gcn1("C04", []) == "C04"
     g = build(["C", "C", "O"], [(1, 2, 1), (2, 3, 1)])
-    assert gcn1_of_atom(g, 1) == "C22(O11,C13)"
+    assert atom_codes(g)[1][1] == "C22(O11,C13)"
 
 
 def test_gcn2_brackets_and_descending_sort():
@@ -86,13 +83,32 @@ def test_gcn2_brackets_and_descending_sort():
     assert format_gcn2("F01", []) == "F01"
 
 
-def test_atom_codes_matches_per_atom_functions():
-    for g in (methane(), ethane(), benzene(), benzoic_acid(), methylhexene()):
+def spelled_codes(g, i):
+    """Level-0, -1 and -2 codes of atom i, spelled out from g.neighbors."""
+
+    def level0(v):
+        return f"{g.elements[v]}{len(g.neighbors[v])}{g.h_count[v]}"
+
+    def level1(v):
+        nbrs = sorted((level0(w) for w, _ in g.neighbors[v]), reverse=True)
+        return level0(v) + ("(" + ",".join(nbrs) + ")" if nbrs else "")
+
+    nbrs = sorted((level1(w) for w, _ in g.neighbors[i]), reverse=True)
+    level2 = level0(i) + ("[" + ",".join(nbrs) + "]" if nbrs else "")
+    return level0(i), level1(i), level2
+
+
+def test_atom_codes_matches_per_atom_functions(seed=5):
+    rng = random.Random(seed)
+    graphs = [methane(), ethane(), benzene(), benzoic_acid(), methylhexene()]
+    graphs += [
+        heavy_graph(parse_record_obj(random_molecule_record(rng, idx, max_heavy=12)))
+        for idx in range(50)
+    ]
+    for g in graphs:
         g0, g1, g2 = atom_codes(g)
         for i in range(g.na):
-            assert g0[i] == gcn0_of_atom(g, i)
-            assert g1[i] == gcn1_of_atom(g, i)
-            assert g2[i] == gcn2_of_atom(g, i)
+            assert (g0[i], g1[i], g2[i]) == spelled_codes(g, i)
 
 
 def test_parse_gcn_code_round_trips():
@@ -160,11 +176,29 @@ def test_count_gcn2_full_universe():
     assert total == 156452410979895
 
 
+def gcn2_stream(gcn1_list, elements):
+    """Every level-2 code over a level-1 list, spelled out one by one: the
+    reference that count_gcn2 must match in number on small universes."""
+    for center in GCN0_TABLE:
+        n = int(center[1])
+        if n < 1:
+            continue
+        pool = sorted(
+            (code for code in gcn1_list if center in parse_gcn_code(code)[1]),
+            reverse=True,
+        )
+        for combo in itertools.combinations_with_replacement(pool, n):
+            yield center + "[" + ",".join(combo) + "]"
+    for code in GCN0_TABLE:
+        if code[1] == "0" and code[0] in elements:
+            yield code
+
+
 def test_count_gcn2_matches_stream_on_small_universes():
     for elements in (["O"], ["F"], ["O", "F"]):
         gcn1 = enumerate_gcn1(elements)
         count = count_gcn2(gcn1, elements)
-        stream = list(enumerate_gcn2_stream(gcn1, elements=elements))
+        stream = list(gcn2_stream(gcn1, elements))
         assert len(stream) == count
         assert len(set(stream)) == count
 
@@ -181,24 +215,15 @@ def test_count_gcn2_infers_universe_from_codes():
 
 
 def test_gcn2_stream_fluorine_worked_example():
-    out = list(enumerate_gcn2_stream(enumerate_gcn1(["F"]), elements=["F"]))
+    out = list(gcn2_stream(enumerate_gcn1(["F"]), ["F"]))
     assert out == ["F10[F10(F10)]", "F01"]
-
-
-def test_gcn2_stream_limit():
-    gcn1 = enumerate_gcn1(["O", "F"])
-    first = list(enumerate_gcn2_stream(gcn1, elements=["O", "F"], limit=5))
-    assert len(first) == 5
-    full = list(enumerate_gcn2_stream(gcn1, elements=["O", "F"]))
-    assert full[:5] == first
-    with pytest.raises(InvalidArgument):
-        list(enumerate_gcn2_stream(gcn1, elements=["O", "F"], limit=-1))
+    assert count_gcn2(enumerate_gcn1(["F"]), ["F"]) == 2
 
 
 def test_gcn2_stream_entries_parse_back(seed=3):
     rng = random.Random(seed)
     gcn1 = enumerate_gcn1(["O", "F"])
-    for code in enumerate_gcn2_stream(gcn1, elements=["O", "F"]):
+    for code in gcn2_stream(gcn1, ["O", "F"]):
         center, nbrs = parse_gcn_code(code)
         assert center in GCN0_TABLE
         for nb in nbrs:

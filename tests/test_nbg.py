@@ -8,7 +8,7 @@ import pytest
 
 from molspace.cli import main
 from molspace.errors import InvalidArgument, TooLarge
-from molspace.molgraph import heavy_graph, parse_record_obj, validate
+from molspace.molgraph import HeavyGraph, heavy_graph, parse_record_obj, validate
 from molspace.nbg import (
     DEFAULT_MODE,
     MODE_ELEMENT_ORDER,
@@ -17,8 +17,6 @@ from molspace.nbg import (
     canonical_signature,
     cut_decomposition,
     decode_signature,
-    generate_with_graphs,
-    isovalent_substitutions,
     nbg0_extract,
     nbg0_generate,
     nbg_plus_class,
@@ -301,12 +299,20 @@ def test_generator_outputs_nest_by_max_heavy():
 
 
 def test_generator_outputs_are_bridgeless_and_valence_feasible():
-    for topo, graph in generate_with_graphs(6):
+    for topo in nbg0_generate(6):
+        labels, edges = decode_signature(topo.signature)
+        assert set(labels) == {"C"}
+        assert canonical_signature(labels, edges) == topo.signature
+        # No hydrogens: validate then checks each bond order sum against 4.
+        graph = HeavyGraph(
+            elements=labels, bonds=tuple(edges), h_count=(0,) * len(labels)
+        )
         assert validate(graph) == []
         d = cut_decomposition(graph)
         assert d.bridges == frozenset()
         assert d.cut_vertices == frozenset() or topo.na >= 5
-        assert 3 <= topo.na <= 6
+        assert 3 <= topo.na == len(labels) <= 6
+        assert nbg0_extract(graph, d.bridges, MODE_ELEMENT_ORDER) == [topo]
 
 
 def test_generator_serialization_is_deterministic():
@@ -316,16 +322,3 @@ def test_generator_serialization_is_deterministic():
     assert a.startswith("# max_heavy=5\n")
     body = [ln for ln in a.splitlines() if not ln.startswith("#")]
     assert body == sorted(body)
-
-
-def test_isovalent_substitutions_on_triangles():
-    plain = topology_of(("C", "C", "C"), [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
-    subs = isovalent_substitutions(plain, {"O"})
-    assert len(subs) == 4
-    assert plain in subs
-    stiff = topology_of(("C", "C", "C"), [(0, 1, 2), (0, 2, 2), (1, 2, 2)])
-    assert isovalent_substitutions(stiff, {"O"}) == {stiff}
-    both = isovalent_substitutions(plain, {"N", "O"})
-    assert len(both) == 10
-    with pytest.raises(InvalidArgument):
-        isovalent_substitutions(plain, {"F"})
