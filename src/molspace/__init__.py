@@ -83,7 +83,6 @@ from .molgraph import (
 from .nbg import (
     CutDecomposition,
     NbgPlusClass,
-    NbgTopology,
     canonical_signature,
     cut_decomposition,
     decode_signature,
@@ -91,6 +90,7 @@ from .nbg import (
     nbg0_generate,
     nbg_plus_class,
     scaffold,
+    topology_of,
 )
 
 __version__ = "0.1.0"

@@ -130,11 +130,11 @@ def _map_ordered(
 
 def _encode_record(rec: cov.DatasetRecord, mode: str) -> str:
     g = rec.graph
-    gcn0, gcn1, gcn2 = rec.codes
+    gcn0, gcn1, gcn2 = gcn.atom_codes(g)
     cd = nbg.cut_decomposition(g)
     cls = nbg.nbg_plus_class(cd)
-    cores = nbg.nbg0_extract(g, cd.bridges, mode)
-    sc = nbg.scaffold(g, mode)
+    cores = nbg.nbg0_extract(g, cd.bridges)
+    sc = nbg.scaffold(g)
     obj = {
         "id": rec.id,
         "na": g.na,
@@ -146,8 +146,8 @@ def _encode_record(rec: cov.DatasetRecord, mode: str) -> str:
         "bridges": cls.bridge_count,
         "nbg_level": cls.level,
         "within_plus": cls.within_plus,
-        "nbg0": sorted(t.signature for t in cores),
-        "scaffold": sc.signature if sc is not None else None,
+        "nbg0": sorted(nbg.topology_of(*core, mode) for core in cores),
+        "scaffold": nbg.topology_of(*sc, mode) if sc is not None else None,
     }
     return json.dumps(obj, separators=(",", ":"))
 
@@ -177,7 +177,7 @@ def _run_per_record(
     args: argparse.Namespace, cfg: dict[str, Any], command: str
 ) -> int:
     mode = _setting(args, cfg, "mode", nbg.DEFAULT_MODE)
-    workers = int(_setting(args, cfg, "workers", _default_workers()))
+    workers = _number("workers", _setting(args, cfg, "workers", _default_workers()))
     in_format = _setting(args, cfg, "input_format", "records")
     source = read_input(_setting(args, cfg, "input", "-"))
     # The worker count changes scheduling only, never bytes, so it is
@@ -225,11 +225,8 @@ def cmd_enumerate(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
 
 def cmd_count_gcn2(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
     source = read_input(_setting(args, cfg, "gcn1_list", "-"))
-    codes = [
-        line.strip()
-        for line in source.text.splitlines()
-        if line.strip() and not line.startswith("#")
-    ]
+    stripped = (line.strip() for line in source.text.splitlines())
+    codes = [code for code in stripped if code and not code.startswith("#")]
     elements_spec = _setting(args, cfg, "elements", None)
     elements = _parse_elements(elements_spec) if elements_spec else None
     total = gcn.count_gcn2(codes, elements)
@@ -237,11 +234,9 @@ def cmd_count_gcn2(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
 
 
 def cmd_generate_nbg0(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
-    max_heavy = int(_setting(args, cfg, "max_heavy", 3))
-    topologies = nbg.nbg0_generate(max_heavy)
-    text = nbg.serialize_topologies(
-        topologies, {"generator": "nbg0", "max_heavy": max_heavy, "mode": "skeleton"}
-    )
+    max_heavy = _number("max_heavy", _setting(args, cfg, "max_heavy", 3))
+    header = {"generator": "nbg0", "max_heavy": max_heavy, "mode": "skeleton"}
+    text = nbg.serialize_topologies(nbg.nbg0_generate(max_heavy), header)
     return _finish(args, cfg, text.splitlines(), [])
 
 
@@ -325,7 +320,7 @@ def cmd_compare(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
 def cmd_kl(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
     feature = _setting(args, cfg, "feature", "gcn1")
     mode = _setting(args, cfg, "mode", nbg.DEFAULT_MODE)
-    epsilon = float(_setting(args, cfg, "epsilon", 1e-9))
+    epsilon = _number("epsilon", _setting(args, cfg, "epsilon", 1e-9), float)
     tables, rejects, sources = _multi_ingest(args, cfg)
     km = cov.kl_matrix(tables, feature, epsilon, mode)
     lines = header_lines(
@@ -340,7 +335,7 @@ def cmd_kl(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
 def cmd_hist(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
     prop = _setting(args, cfg, "property", "Na")
     bins_raw = _setting(args, cfg, "bins", "unit")
-    bins: int | str = bins_raw if bins_raw == "unit" else int(bins_raw)
+    bins: int | str = bins_raw if bins_raw == "unit" else _number("bins", bins_raw)
     table, rejects, source = _ingest_path(_setting(args, cfg, "input", "-"))
     hist = cov.histogram(table, prop, bins)
     lines = header_lines("hist", {"property": prop, "bins": bins_raw}, [source])
@@ -352,8 +347,8 @@ def cmd_hist(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
 
 
 def cmd_subset(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
-    gcn2_max = int(_setting(args, cfg, "gcn2_level", 16))
-    nbg_max = int(_setting(args, cfg, "nbg_level", 22))
+    gcn2_max = _number("gcn2_level", _setting(args, cfg, "gcn2_level", 16))
+    nbg_max = _number("nbg_level", _setting(args, cfg, "nbg_level", 22))
     table, rejects, source = _ingest_path(_setting(args, cfg, "input", "-"))
     ids = cov.expansion_subsets(table, gcn2_max, nbg_max)
     lines = header_lines(
@@ -366,7 +361,7 @@ def cmd_subset(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
 def cmd_complement(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
     feature = _setting(args, cfg, "feature", "gcn1")
     na_cap_raw = _setting(args, cfg, "na_cap", None)
-    na_cap = int(na_cap_raw) if na_cap_raw is not None else None
+    na_cap = _number("na_cap", na_cap_raw) if na_cap_raw is not None else None
     train, rej1, src1 = _ingest_path(_setting(args, cfg, "train", "-"))
     eval_table, rej2, src2 = _ingest_path(_setting(args, cfg, "eval", "-"))
     ids = cov.structure_complement(train, eval_table, feature, na_cap)
@@ -449,7 +444,9 @@ def cmd_align(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
 
     if action == "fit":
         mode = _setting(args, cfg, "mode", "composition")
-        ridge = float(_setting(args, cfg, "ridge", align_mod.DEFAULT_RIDGE))
+        ridge = _number(
+            "ridge", _setting(args, cfg, "ridge", align_mod.DEFAULT_RIDGE), float
+        )
         e1_prop = _setting(args, cfg, "e1", "e1")
         pairs = align_mod.build_features(table, e0_prop, mode, e1_prop)
         model = align_mod.fit(pairs, ridge=ridge, mode=mode)
@@ -473,10 +470,10 @@ def cmd_align(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
                 lines.append(f"{record.id}\t{align_mod.apply(model, fv)!r}")
         else:  # stats
             e1_prop = _setting(args, cfg, "e1", "e1")
-            threshold = float(
-                _setting(
-                    args, cfg, "threshold", align_mod.DEFAULT_OUTLIER_THRESHOLD
-                )
+            threshold = _number(
+                "threshold",
+                _setting(args, cfg, "threshold", align_mod.DEFAULT_OUTLIER_THRESHOLD),
+                float,
             )
             pairs = align_mod.build_features(table, e0_prop, model.mode, e1_prop)
             stats = align_mod.residual_stats(model, pairs, threshold)
@@ -506,6 +503,16 @@ def _setting(
     if name in cfg:
         return cfg[name]
     return default
+
+
+def _number(name: str, value: Any, kind: Callable[[Any], Any] = int) -> Any:
+    """Convert a numeric setting; a value that does not convert is a usage
+    error, not a traceback."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise InvalidArgument(f"{name} must be {noun}, got {value!r}") from None
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Callable, Iterable
 
 from . import gcn, nbg
@@ -41,17 +40,6 @@ class DatasetRecord:
     properties: dict[str, float]
     mol: str
     line_no: int = 0  # input line, from 1; 0 when not read by ingest
-
-    @cached_property
-    def codes(self) -> tuple[list[str], list[str], list[str]]:
-        """Level-0, level-1 and level-2 codes of every atom."""
-        return gcn.atom_codes(self.graph)
-
-    @cached_property
-    def levels(self) -> tuple[int, int]:
-        """(radius-2 crowding level, cut-set level)."""
-        cd = nbg.cut_decomposition(self.graph)
-        return gcn.gcn2_level(self.graph), nbg.nbg_plus_class(cd).level
 
 
 @dataclass
@@ -196,19 +184,17 @@ def record_type_counts(
     counts: Counter = Counter()
     if feature in ("gcn0", "gcn1", "gcn2"):
         level = ("gcn0", "gcn1", "gcn2").index(feature)
-        counts.update(record.codes[level])
+        counts.update(gcn.atom_codes(g)[level])
     elif feature == "nbg0":
-        bridges = nbg.cut_decomposition(g).bridges
-        counts.update(t.signature for t in nbg.nbg0_extract(g, bridges, mode))
+        cores = nbg.nbg0_extract(g, nbg.cut_decomposition(g).bridges)
+        counts.update(nbg.topology_of(*core, mode) for core in cores)
     elif feature == "scaffold":
-        topo = nbg.scaffold(g, mode)
-        if topo is not None:
-            counts[topo.signature] += 1
+        sc = nbg.scaffold(g)
+        if sc is not None:
+            counts[nbg.topology_of(*sc, mode)] += 1
     else:  # nbg_plus: the whole molecule as one topology unit
-        topo = nbg.topology_of(
-            g.elements, list(g.bonds), nbg.MODE_ELEMENT_ORDER
-        )
-        counts[topo.signature] += 1
+        whole = nbg.topology_of(g.elements, list(g.bonds), nbg.MODE_ELEMENT_ORDER)
+        counts[whole] += 1
     return counts
 
 
@@ -266,31 +252,36 @@ def coverage_report(t: DatasetTable) -> CoverageReport:
 
     Topology core counts are reported for all three label modes side by
     side; the scaffold axis uses the default mode (carbon skeleton with
-    bond orders retained).
+    bond orders retained). Each record's features are computed once, in
+    one pass, and only the type sets are kept.
     """
     na_hist: Counter = Counter()
     plus_levels: Counter = Counter()
+    codes: tuple[set[str], set[str], set[str]] = (set(), set(), set())
     cores: dict[str, set[str]] = {mode: set() for mode in nbg.MODES}
+    scaffolds: set[str] = set()
     for record in t.records:
         g = record.graph
-        # One decomposition serves the level and the cores of every mode;
-        # it is not kept, as it would cost about 2 KB per record.
+        for seen, level_codes in zip(codes, gcn.atom_codes(g)):
+            seen.update(level_codes)
         cd = nbg.cut_decomposition(g)
         na_hist[g.na] += 1
         plus_levels[nbg.nbg_plus_class(cd).level] += 1
+        extracted = nbg.nbg0_extract(g, cd.bridges)
         for mode in nbg.MODES:
-            cores[mode].update(
-                core.signature for core in nbg.nbg0_extract(g, cd.bridges, mode)
-            )
+            cores[mode].update(nbg.topology_of(*core, mode) for core in extracted)
+        sc = nbg.scaffold(g)
+        if sc is not None:
+            scaffolds.add(nbg.topology_of(*sc))
     return CoverageReport(
         name=t.name,
         molecule_count=len({r.mol for r in t.records}),
         conformation_count=len(t.records),
-        gcn0_types=len(type_set(t, "gcn0")),
-        gcn1_types=len(type_set(t, "gcn1")),
-        gcn2_types=len(type_set(t, "gcn2")),
+        gcn0_types=len(codes[0]),
+        gcn1_types=len(codes[1]),
+        gcn2_types=len(codes[2]),
         nbg0_types={mode: len(cores[mode]) for mode in nbg.MODES},
-        scaffold_types=len(type_set(t, "scaffold")),
+        scaffold_types=len(scaffolds),
         nbg_plus_levels=dict(plus_levels),
         na_histogram=dict(na_hist),
     )
@@ -468,8 +459,9 @@ def expansion_subsets(
         raise InvalidArgument("level thresholds must be non-negative")
     out: set[str] = set()
     for record in t.records:
-        glevel, nlevel = record.levels
-        if glevel <= gcn2_max and nlevel <= nbg_max:
+        g = record.graph
+        nlevel = nbg.nbg_plus_class(nbg.cut_decomposition(g)).level
+        if gcn.gcn2_level(g) <= gcn2_max and nlevel <= nbg_max:
             out.add(record.id)
     return out
 

@@ -3,8 +3,12 @@
 The topological axis of the representation splits a molecule at its cut
 vertices and bridges. What remains after deleting the bridges is a set of
 ring/cage cores; those cores, canonicalized, are the level-0 topology types.
-A breadth-first generator enumerates every such core up to a heavy-atom
-bound.
+Extraction returns cores and scaffolds as plain subgraphs; topology_of
+alone applies a label mode and canonicalizes. A breadth-first generator
+enumerates all-carbon cores up to a heavy-atom bound, but not all of
+them: it has no chord step, and with a bound of 8 it misses 21 of the 85
+reference cores (the 83 cores of 3 to 5 atoms, prismane and cubane),
+among them tetrahedrane and both cages (ROADMAP item 2).
 
 Canonical forms are exact: iterative color refinement over
 (label, degree, incident edge orders) followed by an
@@ -46,14 +50,6 @@ class CutDecomposition:
 
     cut_vertices: frozenset[int]
     bridges: frozenset[tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class NbgTopology:
-    """A canonicalized topology: signature string plus vertex count."""
-
-    signature: str
-    na: int
 
 
 @dataclass(frozen=True)
@@ -319,86 +315,79 @@ def decode_signature(signature: str) -> tuple[tuple[str, ...], list[tuple[int, i
     return labels, edges
 
 
-def _mode_view(
-    elements: tuple[str, ...],
-    edges: list[tuple[int, int, int]],
-    mode: str,
-) -> tuple[tuple[str, ...], list[tuple[int, int, int]]]:
-    if mode not in MODES:
-        raise InvalidArgument(f"unknown topology mode {mode!r}")
-    if mode == MODE_ELEMENT_ORDER:
-        return elements, edges
-    labels = tuple("C" for _ in elements)
-    if mode == MODE_SKELETON:
-        return labels, edges
-    return labels, [(i, j, 1) for i, j, _ in edges]
-
-
 def topology_of(
     elements: tuple[str, ...],
     edges: list[tuple[int, int, int]],
     mode: str = DEFAULT_MODE,
-) -> NbgTopology:
-    """Canonicalize an explicit subgraph under the given mode."""
-    labels, view_edges = _mode_view(elements, edges, mode)
-    return NbgTopology(
-        signature=canonical_signature(labels, view_edges), na=len(elements)
-    )
+) -> str:
+    """Signature of an explicit subgraph under the given mode.
+
+    element-order keeps elements and bond orders, skeleton relabels every
+    atom as carbon, and skeleton-no-order also makes every bond single.
+    """
+    if mode not in MODES:
+        raise InvalidArgument(f"unknown topology mode {mode!r}")
+    if mode != MODE_ELEMENT_ORDER:
+        elements = ("C",) * len(elements)
+        if mode == MODE_SKELETON_NO_ORDER:
+            edges = [(i, j, 1) for i, j, _ in edges]
+    return canonical_signature(elements, edges)
 
 
 # ---------------------------------------------------------------------------
 # Extraction
 # ---------------------------------------------------------------------------
 
+# An extracted subgraph as (elements, edges), renumbered from 0; topology_of
+# canonicalizes it under a mode.
+Subgraph = tuple[tuple[str, ...], list[tuple[int, int, int]]]
+
+
+def _induced(g: HeavyGraph, vertices: list[int]) -> Subgraph:
+    """The subgraph of g induced by ascending vertices, renumbered 0..k-1."""
+    index = {v: k for k, v in enumerate(vertices)}
+    edges = [
+        (index[i], index[j], order)
+        for i, j, order in g.bonds
+        if i in index and j in index
+    ]
+    return tuple(g.elements[v] for v in vertices), edges
+
 
 def nbg0_extract(
-    g: HeavyGraph,
-    bridges: frozenset[tuple[int, int]],
-    mode: str = DEFAULT_MODE,
-) -> list[NbgTopology]:
+    g: HeavyGraph, bridges: frozenset[tuple[int, int]]
+) -> list[Subgraph]:
     """Extract the bridge-free ring/cage cores of a molecule.
 
     ``bridges`` are the graph's bridges, from its cut decomposition.
     Deleting them leaves components; those with an edge are exactly the
     nontrivial two-edge-connected components (at least three vertices, at
-    least one cycle). The result keeps one entry per component, in order of
-    smallest vertex, so repeated cores appear with their multiplicity.
+    least one cycle). The result keeps one subgraph per component, in
+    order of smallest vertex, so repeated cores appear with their
+    multiplicity. Every bond between two atoms of a component lies in it.
     """
     n = g.na
-    comp = [-1] * n
-    cores: list[list[int]] = []
+    seen = [False] * n
+    cores: list[Subgraph] = []
     for start in range(n):
-        if comp[start] != -1:
+        if seen[start]:
             continue
-        comp[start] = len(cores)
+        seen[start] = True
         members = [start]
         stack = [start]
         while stack:
             v = stack.pop()
             for w, _ in g.neighbors[v]:
-                if comp[w] == -1 and ((v, w) if v < w else (w, v)) not in bridges:
-                    comp[w] = len(cores)
+                if not seen[w] and ((v, w) if v < w else (w, v)) not in bridges:
+                    seen[w] = True
                     members.append(w)
                     stack.append(w)
         if len(members) > 1:
-            cores.append(sorted(members))
-        else:
-            comp[start] = -2
-
-    core_edges: list[list[tuple[int, int, int]]] = [[] for _ in cores]
-    for i, j, order in g.bonds:
-        if comp[i] >= 0 and comp[i] == comp[j]:
-            core_edges[comp[i]].append((i, j, order))
-    out: list[NbgTopology] = []
-    for vertices, edges in zip(cores, core_edges):
-        index = {v: k for k, v in enumerate(vertices)}
-        elements = tuple(g.elements[v] for v in vertices)
-        local = [(index[i], index[j], order) for i, j, order in edges]
-        out.append(topology_of(elements, local, mode))
-    return out
+            cores.append(_induced(g, sorted(members)))
+    return cores
 
 
-def scaffold(g: HeavyGraph, mode: str = DEFAULT_MODE) -> NbgTopology | None:
+def scaffold(g: HeavyGraph) -> Subgraph | None:
     """Iteratively strip degree-0/1 heavy atoms; None when nothing is left.
 
     The fixed point keeps every cycle and every path connecting cycles, so
@@ -420,16 +409,7 @@ def scaffold(g: HeavyGraph, mode: str = DEFAULT_MODE) -> NbgTopology | None:
                 if degree[w] <= 1:
                     queue.append(w)
     vertices = [v for v in range(n) if alive[v]]
-    if not vertices:
-        return None
-    index = {v: k for k, v in enumerate(vertices)}
-    elements = tuple(g.elements[v] for v in vertices)
-    edges = [
-        (index[i], index[j], order)
-        for i, j, order in g.bonds
-        if alive[i] and alive[j]
-    ]
-    return topology_of(elements, edges, mode)
+    return _induced(g, vertices) if vertices else None
 
 
 # ---------------------------------------------------------------------------
@@ -501,13 +481,15 @@ def _expansions(
     return out
 
 
-def nbg0_generate(max_heavy: int) -> set[NbgTopology]:
-    """Enumerate all bridge-free all-carbon cores up to max_heavy atoms.
+def nbg0_generate(max_heavy: int) -> set[str]:
+    """Enumerate bridge-free all-carbon cores up to max_heavy atoms.
 
     Breadth-first closure of the 3-cycle seed under the five expansion
     operations, keeping candidates that stay valence-feasible, deduplicated
-    by canonical signature. Output order is irrelevant; callers serialize
-    the set sorted.
+    by canonical signature. The closure is incomplete: with no chord step
+    it misses 21 of the 85 reference cores at max_heavy 8, among them
+    tetrahedrane, prismane and cubane (ROADMAP item 2). Returns the
+    signatures; callers serialize the set sorted.
     """
     if not MIN_GENERATE_HEAVY <= max_heavy <= MAX_GENERATE_HEAVY:
         raise InvalidArgument(
@@ -516,9 +498,7 @@ def nbg0_generate(max_heavy: int) -> set[NbgTopology]:
         )
     seed_edges = {(0, 1): 1, (0, 2): 1, (1, 2): 1}
     seed = _state_graph(3, seed_edges)
-    seed_topo = topology_of(seed.elements, list(seed.bonds), MODE_ELEMENT_ORDER)
-
-    seen: dict[str, NbgTopology] = {seed_topo.signature: seed_topo}
+    seen = {canonical_signature(seed.elements, list(seed.bonds))}
     frontier: list[tuple[int, dict[tuple[int, int], int]]] = [(3, seed_edges)]
     while frontier:
         next_frontier: list[tuple[int, dict[tuple[int, int], int]]] = []
@@ -527,26 +507,22 @@ def nbg0_generate(max_heavy: int) -> set[NbgTopology]:
                 candidate = _state_graph(n2, edges2)
                 if validate(candidate):
                     continue
-                topo = topology_of(
-                    candidate.elements, list(candidate.bonds), MODE_ELEMENT_ORDER
-                )
-                if topo.signature in seen:
+                sig = canonical_signature(candidate.elements, list(candidate.bonds))
+                if sig in seen:
                     continue
-                seen[topo.signature] = topo
+                seen.add(sig)
                 next_frontier.append((n2, edges2))
         frontier = next_frontier
-    return set(seen.values())
+    return seen
 
 
 def serialize_topologies(
-    topologies: Iterable[NbgTopology] | set[NbgTopology],
-    header_fields: dict[str, object] | None = None,
+    signatures: Iterable[str], header_fields: dict[str, object] | None = None
 ) -> str:
     """One signature per line, sorted, preceded by '#' header lines."""
     lines: list[str] = []
     if header_fields:
         pairs = " ".join(f"{k}={header_fields[k]}" for k in header_fields)
         lines.append(f"# {pairs}")
-    for sig in sorted(t.signature for t in topologies):
-        lines.append(sig)
+    lines.extend(sorted(signatures))
     return "\n".join(lines) + "\n"

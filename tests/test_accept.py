@@ -1,12 +1,13 @@
-"""One accept rule for every record command, and one cut decomposition
-per record."""
+"""One accept rule for every record command, and one pass of each
+per-record feature function per record."""
 
 import json
 import time
+from collections import Counter
 
 import pytest
 
-from molspace import cli, nbg
+from molspace import cli, gcn, nbg
 from molspace.cli import main
 from molspace.coverage import coverage_report, ingest
 
@@ -213,17 +214,33 @@ def test_highly_symmetric_molecules_finish_quickly(argv, tmp_path, capsys):
         assert body(out) == ["hexa-tBu-ethane", "tetra-tBu-methane"]
 
 
+# The per-record feature functions; each must run once per record.
+PER_RECORD_CALLS = [
+    (gcn, "atom_codes"),
+    (nbg, "cut_decomposition"),
+    (nbg, "nbg0_extract"),
+    (nbg, "scaffold"),
+]
+
+
 @pytest.fixture
-def count_cut_decompositions(monkeypatch):
-    calls = []
-    original = nbg.cut_decomposition
+def count_per_record_calls(monkeypatch):
+    calls = Counter()
 
-    def counted(g):
-        calls.append(g)
-        return original(g)
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
 
-    monkeypatch.setattr(nbg, "cut_decomposition", counted)
+        return wrapper
+
+    for module, name in PER_RECORD_CALLS:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return calls
+
+
+def once_each(records):
+    return {name: len(records) for _, name in PER_RECORD_CALLS}
 
 
 RING_RECORDS = [
@@ -236,17 +253,17 @@ RING_RECORDS = [
 ]
 
 
-def test_coverage_decomposes_each_record_once(count_cut_decompositions):
+def test_coverage_decomposes_each_record_once(count_per_record_calls):
     table, rejects = ingest(RING_RECORDS, "t")
     assert rejects == []
     report = coverage_report(table)
     assert report.nbg0_types == {
         "element-order": 2, "skeleton": 2, "skeleton-no-order": 2}
-    assert len(count_cut_decompositions) == len(RING_RECORDS)
+    assert count_per_record_calls == once_each(RING_RECORDS)
 
 
-def test_encode_decomposes_each_record_once(count_cut_decompositions):
+def test_encode_decomposes_each_record_once(count_per_record_calls):
     tasks = [("encode", "skeleton", line) for line in RING_RECORDS]
     verdicts = cli._map_ordered(cli._record_task, tasks, workers=1)
     assert all(ok for _, ok, _ in verdicts)
-    assert len(count_cut_decompositions) == len(RING_RECORDS)
+    assert count_per_record_calls == once_each(RING_RECORDS)

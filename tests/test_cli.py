@@ -76,10 +76,42 @@ def test_enumerate_gcn1_subset(capsys):
 
 def test_count_gcn2_prints_bare_integer(capsys, tmp_path):
     code, out, _ = run(capsys, "enumerate", "gcn1", "--elements", "OF")
-    listing = write(tmp_path, "gcn1.txt", *out.splitlines())
+    codes = out.splitlines()
+    listing = write(tmp_path, "gcn1.txt", *codes)
     code, out, _ = run(capsys, "count-gcn2", "--gcn1-list", listing)
     assert code == 0
     assert out == "51\n"
+    # A comment counts as one after its leading blanks are stripped.
+    listing = write(tmp_path, "noted.txt", "  # a note", *codes, "\t# end")
+    code, out, err = run(capsys, "count-gcn2", "--gcn1-list", listing)
+    assert (code, out, err) == (0, "51\n", "")
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["hist", "--input", "{a}", "--bins", "abc"], None,
+     "bins must be an integer, got 'abc'"),
+    (["generate-nbg0"], {"max_heavy": "x"},
+     "max_heavy must be an integer, got 'x'"),
+    (["kl", "{a}", "{b}"], {"epsilon": "abc"},
+     "epsilon must be a number, got 'abc'"),
+    (["subset", "--input", "{a}"], {"gcn2_level": None},
+     "gcn2_level must be an integer, got None"),
+    (["complement", "--train", "{a}", "--eval", "{b}"], {"na_cap": "big"},
+     "na_cap must be an integer, got 'big'"),
+    (["encode", "--input", "{a}"], {"workers": "two"},
+     "workers must be an integer, got 'two'"),
+], ids=["hist-bins", "generate-max_heavy", "kl-epsilon", "subset-gcn2_level",
+        "complement-na_cap", "encode-workers"])
+def test_unconvertible_numeric_setting_is_usage_error(
+    argv, config, message, capsys, tmp_path
+):
+    paths = {"a": write(tmp_path, "a.jsonl", METHANE),
+             "b": write(tmp_path, "b.jsonl", ETHANE)}
+    argv = [arg.format(**paths) for arg in argv]
+    if config is not None:
+        argv += ["--config", write(tmp_path, "cfg.json", json.dumps(config))]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"usage error: {message}\n")
 
 
 def test_generate_nbg0_header_and_sorted_body(capsys):

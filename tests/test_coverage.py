@@ -35,9 +35,15 @@ METHANE = record_line("methane", ["C"], [], props={"e": -40.0})
 ETHANE = record_line("ethane", ["C", "C"], [(1, 2, 1)], props={"e": -79.0})
 ETHENE = record_line("ethene", ["C", "C"], [(1, 2, 2)])
 WATER = record_line("water", ["O"], [], props={"e": -76.0})
-BENZENE = record_line("benzene", ["C"] * 6,
-                      [(1, 2, 2), (2, 3, 1), (3, 4, 2), (4, 5, 1), (5, 6, 2), (6, 1, 1)])
+RING6 = [(1, 2, 2), (2, 3, 1), (3, 4, 2), (4, 5, 1), (5, 6, 2), (6, 1, 1)]
+BENZENE = record_line("benzene", ["C"] * 6, RING6)
 PROPANE = record_line("propane", ["C", "C", "C"], [(1, 2, 1), (2, 3, 1)])
+TOLUENE = record_line("toluene", ["C"] * 7, RING6 + [(1, 7, 1)])
+CYCLOHEXANE = record_line(
+    "cyclohexane", ["C"] * 6, [(i, i % 6 + 1, 1) for i in range(1, 7)])
+BIPHENYL = record_line(
+    "biphenyl", ["C"] * 12,
+    RING6 + [(a + 6, b + 6, c) for a, b, c in RING6] + [(1, 7, 1)])
 
 
 def test_ingest_accepts_and_rejects_line_by_line():
@@ -104,6 +110,35 @@ def test_coverage_report_counts():
     assert d["gcn1_types"] == 2
     assert d["na_histogram"] == {"1": 1, "2": 2}
     assert d["nbg_plus_levels"] == {"0": 1, "1": 2}
+
+    rings = make_table("rings", [BENZENE, TOLUENE, CYCLOHEXANE, BIPHENYL, ETHANE])
+    d = coverage_report(rings).to_dict()
+    assert d == {
+        "name": "rings",
+        "molecule_count": 5,
+        "conformation_count": 5,
+        # C21 (aromatic CH), C30 (ipso), C13 (methyl), C22 (ring CH2).
+        "gcn0_types": 4,
+        # C21(C21,C21), C21(C30,C21), C30(C21,C21,C13), C13(C30),
+        # C30(C30,C21,C21), C22(C22,C22), C13(C13).
+        "gcn1_types": 7,
+        # Benzene 1 (shared by every para carbon), toluene 4 (methyl,
+        # ipso, ortho, meta), cyclohexane 1, biphenyl 2 (ipso and ortho;
+        # its meta matches toluene's), ethane 1.
+        "gcn2_types": 9,
+        # The Kekule ring and the saturated ring; without bond orders the
+        # two rings are one.
+        "nbg0_types": {
+            "element-order": 2, "skeleton": 2, "skeleton-no-order": 1},
+        # The Kekule ring (benzene, toluene), the saturated ring and the
+        # ring pair of biphenyl; ethane has no scaffold.
+        "scaffold_types": 3,
+        # max(cut vertices, bridges): benzene and cyclohexane 0, toluene
+        # (1, 1) and ethane (0, 1) 1, biphenyl (2, 1) 2.
+        "nbg_plus_levels": {"0": 2, "1": 2, "2": 1},
+        "na_histogram": {"2": 1, "6": 2, "7": 1, "12": 1},
+    }
+    assert list(d["na_histogram"]) == ["2", "6", "7", "12"]
 
 
 def test_overlap_regions_partition_the_union():

@@ -1,0 +1,74 @@
+"""Output bytes of the record commands on a seeded corpus, frozen.
+
+Each digest is the sha256 of one command's ``--out`` file, header lines
+included, computed by the code before core extraction and
+canonicalization were split apart. A refactor must keep every byte; a
+deliberate change to an output must say so in CHANGES.md and update its
+digest here.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from molspace.cli import main
+
+from conftest import random_molecule_record
+
+CORPUS_SEED = 97
+CORPUS_SIZE = 300
+
+# argv (inputs relative to the working directory) -> sha256 of --out.
+# a.jsonl and b.jsonl are the two halves of corpus.jsonl.
+FROZEN_SHA256 = {
+    "encode --input corpus.jsonl --mode element-order":
+        "77ca01f0005a6c20f43e12c763455bad2f478f3090c936f9358957bc5dbf33ff",
+    "encode --input corpus.jsonl --mode skeleton":
+        "47b3720c7a6a27a2b448576de024feb24894ef8038657441639e4297281c1a22",
+    "encode --input corpus.jsonl --mode skeleton-no-order":
+        "0e5479f9e120839d62af5d7142fd0b4787604f87053a8e34c5e4d520f22c575a",
+    "coverage --input corpus.jsonl --format json":
+        "b57da2f6509e13b206e80f3dd5756e3ab72044ed77429a384fb4c74b333f33fd",
+    "kl a.jsonl b.jsonl --feature nbg0":
+        "66086a1649f8d32f45af0ca5e5b68bb83dd3173ff70be6f833fb8c12b232bfeb",
+    "kl a.jsonl b.jsonl --feature scaffold":
+        "32aded3fd6c4c34f0442b394e024684c0625d2645d0c752eef013ff17ec55523",
+    "compare a.jsonl b.jsonl --feature nbg0":
+        "2b08a46e82a73296520fb78040876f0684e852a2e7e3215af7d029ec569d7377",
+    "compare a.jsonl b.jsonl --feature scaffold":
+        "5741a7e36e94c6e8d643df2d3fe5efc7222037a087a77d50b3cbf04f8cee2e9e",
+}
+
+
+def corpus_lines():
+    rng = random.Random(CORPUS_SEED)
+    return [
+        json.dumps(random_molecule_record(rng, idx)) for idx in range(CORPUS_SIZE)
+    ]
+
+
+def write_corpus(directory):
+    lines = corpus_lines()
+    half = len(lines) // 2
+    for name, part in [
+        ("corpus", lines), ("a", lines[:half]), ("b", lines[half:])
+    ]:
+        (directory / f"{name}.jsonl").write_text("\n".join(part) + "\n")
+
+
+def test_corpus_has_ring_closures():
+    records = [json.loads(line) for line in corpus_lines()]
+    # A connected record with at least as many bonds as atoms has a ring.
+    rings = [r for r in records if len(r["bonds"]) >= len(r["elements"])]
+    assert len(rings) >= CORPUS_SIZE // 5
+
+
+@pytest.mark.parametrize("argv", sorted(FROZEN_SHA256))
+def test_output_bytes_are_frozen(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_corpus(tmp_path)
+    assert main(argv.split() + ["--out", "out.txt"]) == 0
+    digest = hashlib.sha256((tmp_path / "out.txt").read_bytes()).hexdigest()
+    assert digest == FROZEN_SHA256[argv]
