@@ -507,8 +507,13 @@ def _setting(
 
 def _number(name: str, value: Any, kind: Callable[[Any], Any] = int) -> Any:
     """Convert a numeric setting; a value that does not convert is a usage
-    error, not a traceback."""
+    error, not a traceback. A bool is no number, and an integer setting
+    takes no fractional part."""
     try:
+        if isinstance(value, bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer()
+        ):
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         noun = "an integer" if kind is int else "a number"

@@ -344,8 +344,10 @@ def kl_matrix(
     distribution Q. A table with no type occurrences raises
     EmptyDistribution.
     """
-    if epsilon <= 0:
-        raise InvalidArgument(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise InvalidArgument(
+            f"epsilon must be positive and finite, got {epsilon}"
+        )
     if len(tables) < 2:
         raise InvalidArgument("kl_matrix takes at least two tables")
     counts = []

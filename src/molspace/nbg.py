@@ -13,7 +13,10 @@ among them tetrahedrane and both cages (ROADMAP item 2).
 Canonical forms are exact: iterative color refinement over
 (label, degree, incident edge orders) followed by an
 individualization-refinement search over the remaining color classes,
-keeping the lexicographically smallest serialization. Two leaves with
+keeping the lexicographically smallest serialization. Refinement keeps
+the coloring as an ordered list of cells and, each round, re-profiles
+only the cells next to a split; the colorings are the same as those of
+re-profiling every vertex every round. Two leaves with
 equal serializations give an automorphism; a child is skipped when an
 automorphism fixing its parent's path maps an already searched sibling
 onto it (orbit pruning, as in nauty/Traces: McKay and Piperno, J. Symb.
@@ -33,7 +36,9 @@ from .molgraph import HeavyGraph, validate
 
 # Signatures are exact up to this size. With orbit pruning the search
 # stays small even on highly symmetric molecules: 26-atom
-# hexa-tert-butylethane takes 183 refinements (tens of milliseconds).
+# hexa-tert-butylethane takes 183 refinements (a few milliseconds). The
+# cap also bounds the vertex colors, and so the bits that a packed
+# refinement profile entry gives them (COLOR_BITS).
 MAX_SIGNATURE_VERTICES = 32
 
 MODE_ELEMENT_ORDER = "element-order"
@@ -140,27 +145,63 @@ def nbg_plus_class(cd: CutDecomposition) -> NbgPlusClass:
 # ---------------------------------------------------------------------------
 
 
-def _rank(keys: list) -> list[int]:
-    """Replace arbitrary sortable keys by their rank among distinct keys."""
-    order = {k: r for r, k in enumerate(sorted(set(keys)))}
-    return [order[k] for k in keys]
+# A profile entry packs an edge color and a neighbour's color into one
+# int; vertex colors are below MAX_SIGNATURE_VERTICES.
+COLOR_BITS = (MAX_SIGNATURE_VERTICES - 1).bit_length()
 
 
-def _refine(adj: list[list[tuple[int, int]]], color: list[int]) -> list[int]:
-    """Iteratively split color classes by colored-neighborhood profiles."""
-    n = len(color)
-    ncolors = len(set(color))
+def _refine(
+    adj: list[list[tuple[int, int]]],
+    color: list[int],
+    cells: list[list[int]],
+    splitters: Iterable[int],
+) -> None:
+    """Split cells by colored-neighborhood profiles until none splits.
+
+    ``cells`` is the ordered partition, each cell in ascending vertex
+    order, and ``color[v]`` is the index of v's cell; both are updated in
+    place. ``adj[v]`` holds ``(u, ec << COLOR_BITS)``. A round profiles
+    from the previous round's colors, orders a split cell's parts by
+    profile and renumbers all cells densely in cell order: the colors of
+    re-profiling every vertex every round. But a round profiles only the
+    non-singleton cells next to a splitter. A cell that splits makes the
+    members of all its parts but the first largest one splitters of the
+    next round. Any other cell cannot split: its members had equal
+    profiles the round before, and one map of colors (the renumbering,
+    and a split cell's color to that of its largest part) turns those
+    into this round's profiles.
+    """
     while True:
-        keys = [
-            (color[v], tuple(sorted((ec, color[u]) for u, ec in adj[v])))
-            for v in range(n)
+        touched = {color[u] for w in splitters for u, _ in adj[w]}
+        splits: dict[int, list[list[int]]] = {}
+        splitters = []
+        for c in touched:
+            cell = cells[c]
+            if len(cell) == 1:
+                continue
+            parts: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                profile = tuple(sorted([e | color[u] for u, e in adj[v]]))
+                parts.setdefault(profile, []).append(v)
+            if len(parts) == 1:
+                continue
+            subs = [parts[k] for k in sorted(parts)]
+            splits[c] = subs
+            keep = max(subs, key=len)
+            for sub in subs:
+                if sub is not keep:
+                    splitters.extend(sub)
+        if not splits:
+            return
+        first = min(splits)
+        cells[first:] = [
+            sub
+            for c in range(first, len(cells))
+            for sub in splits.get(c, (cells[c],))
         ]
-        new = _rank(keys)
-        new_ncolors = len(set(new))
-        if new_ncolors == ncolors:
-            return new
-        color = new
-        ncolors = new_ncolors
+        for k in range(first, len(cells)):
+            for v in cells[k]:
+                color[v] = k
 
 
 def canonical_signature(
@@ -189,23 +230,28 @@ def canonical_signature(
     for i, j, ec in edges:
         if not 1 <= ec <= 9:
             raise InvalidArgument(f"edge color {ec} outside 1..9")
-        adj[i].append((j, ec))
-        adj[j].append((i, ec))
+        adj[i].append((j, ec << COLOR_BITS))
+        adj[j].append((i, ec << COLOR_BITS))
 
-    init_keys = [
-        (labels[v], len(adj[v]), tuple(sorted(ec for _, ec in adj[v])))
-        for v in range(n)
-    ]
-    color = _refine(adj, _rank(init_keys))
+    groups: dict[tuple, list[int]] = {}
+    for v in range(n):
+        key = (labels[v], len(adj[v]), tuple(sorted([e for _, e in adj[v]])))
+        groups.setdefault(key, []).append(v)
+    cells = [groups[k] for k in sorted(groups)]
+    color = [0] * n
+    for k, cell in enumerate(cells):
+        for v in cell:
+            color[v] = k
+    _refine(adj, color, cells, range(n))
 
     tri_len = n * (n - 1) // 2
     row_offset = [v * (2 * n - v - 1) // 2 for v in range(n)]
 
-    def serialize(coloring: list[int]) -> str:
-        order = sorted(range(n), key=coloring.__getitem__)
-        pos = [0] * n
-        for idx, v in enumerate(order):
-            pos[v] = idx
+    def serialize(pos: list[int]) -> str:
+        """The serialization of a leaf, whose colors are positions."""
+        order = [0] * n
+        for v, p in enumerate(pos):
+            order[p] = v
         tri = bytearray(b"0" * tri_len)
         for i, j, ec in edges:
             a, b = pos[i], pos[j]
@@ -217,21 +263,15 @@ def canonical_signature(
     # The first leaf and the best leaf so far, as (serialization, coloring).
     first: tuple[str, list[int]] | None = None
     best: tuple[str, list[int]] | None = None
-    # Automorphisms found at equal leaves, as vertex maps.
-    generators: list[list[int]] = []
-    path: list[int] = []
+    # Automorphisms found at equal leaves, as (moved pairs (u, image of
+    # u), bitmask of the moved points).
+    generators: list[tuple[list[tuple[int, int]], int]] = []
 
-    def descend(coloring: list[int]) -> None:
+    def descend(
+        coloring: list[int], cells: list[list[int]], path_mask: int
+    ) -> None:
         nonlocal first, best
-        counts: dict[int, int] = {}
-        for c in coloring:
-            counts[c] = counts.get(c, 0) + 1
-        target = -1
-        for c in sorted(counts):
-            if counts[c] > 1:
-                target = c
-                break
-        if target < 0:
+        if len(cells) == n:
             s = serialize(coloring)
             if first is None:
                 first = best = (s, coloring)
@@ -242,7 +282,8 @@ def canonical_signature(
             elif s < best[0]:
                 best = (s, coloring)
             return
-        cell = [v for v in range(n) if coloring[v] == target]
+        target = next(k for k, cell in enumerate(cells) if len(cell) > 1)
+        cell = cells[target]
         # Orbits of the generators that fix the path pointwise, as a
         # union-find forest whose roots are the smallest members; built
         # only once such a generator exists.
@@ -250,35 +291,41 @@ def canonical_signature(
         scanned = 0
         for v in cell:
             if len(generators) > scanned:
-                for gen in generators[scanned:]:
-                    if all(gen[p] == p for p in path):
+                for moved, support in generators[scanned:]:
+                    if not support & path_mask:
                         if orbits is None:
                             orbits = list(range(n))
-                        for u in range(n):
-                            _join(orbits, u, gen[u])
+                        for u, w in moved:
+                            _join(orbits, u, w)
                 scanned = len(generators)
             # A smaller cell vertex in v's orbit was searched already, and
             # the automorphism mapping it to v maps its subtree onto v's.
             if orbits is not None and _root(orbits, v) != v:
                 continue
-            path.append(v)
-            split = _rank([(coloring[u], u == v) for u in range(n)])
-            descend(_refine(adj, split))
-            path.pop()
+            # Individualize v: it gets the color just above the rest of
+            # its cell, and every later cell moves up by one.
+            child = [c + 1 if c > target else c for c in coloring]
+            child[v] = target + 1
+            child_cells = cells[:target] + [
+                [u for u in cell if u != v], [v]
+            ] + cells[target + 1:]
+            _refine(adj, child, child_cells, (v,))
+            descend(child, child_cells, path_mask | 1 << v)
 
-    descend(color)
+    descend(color, cells, 0)
     assert best is not None
     return best[0]
 
 
-def _leaf_map(a: list[int], b: list[int]) -> list[int]:
-    """The vertex map sending each vertex of discrete coloring a to the
+def _leaf_map(a: list[int], b: list[int]) -> tuple[list[tuple[int, int]], int]:
+    """The automorphism sending each vertex of discrete coloring a to the
     vertex of discrete coloring b that has the same color (leaf colors are
-    the ranks 0..n-1)."""
+    the positions 0..n-1), as its moved pairs and their bitmask."""
     at = [0] * len(b)
     for v, c in enumerate(b):
         at[c] = v
-    return [at[c] for c in a]
+    moved = [(v, at[c]) for v, c in enumerate(a) if at[c] != v]
+    return moved, sum(1 << v for v, _ in moved)
 
 
 def _root(forest: list[int], v: int) -> int:

@@ -355,6 +355,21 @@ def petersen_graph():
     )
 
 
+def dicyano_bis_fluoroformyl_methane():
+    """C(C#N)2(C(=O)F)2: N/O/F labels, bond orders 2 and 3, and two pairs
+    of swappable arms."""
+    labels = ["C"]
+    edges = []
+    for end, order in (("N", 3), ("N", 3), ("O", 2), ("O", 2)):
+        q = len(labels)
+        labels += ["C", end]
+        edges += [(0, q, 1), (q, q + 1, order)]
+        if end == "O":
+            labels.append("F")
+            edges.append((q, q + 2, 1))
+    return tuple(labels), edges
+
+
 SYMMETRIC_GRAPHS = {
     "tetra-tert-butylmethane": tert_butyl_methane(4),
     "tri-tert-butylmethane": tert_butyl_methane(3),
@@ -365,4 +380,6 @@ SYMMETRIC_GRAPHS = {
     "petersen": petersen_graph(),
     "k33": k33_graph(),
     "prism": prism_graph(),
+    "hexa-tert-butylethane": hexa_tert_butyl_ethane(),
+    "dicyano-bis(fluoroformyl)methane": dicyano_bis_fluoroformyl_methane(),
 }

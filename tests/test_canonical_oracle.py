@@ -18,6 +18,7 @@ from conftest import (
     k33_graph,
     permute_graph,
     prism_graph,
+    random_labeled_graph,
     star_graph,
 )
 
@@ -142,13 +143,96 @@ def test_symmetric_graphs_and_their_variants():
     check_against_oracle(pool, relabellings, random.Random(907))
 
 
+def rank(keys):
+    order = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return [order[k] for k in keys]
+
+
+def full_refine(adj, color):
+    """Refinement as the canonicalizer first did it: every round re-profiles
+    every vertex by (its color, the sorted (edge color, neighbour color)
+    pairs) and re-ranks all of them, until the color count stays put."""
+    ncolors = len(set(color))
+    while True:
+        new = rank([
+            (color[v], tuple(sorted((ec, color[u]) for u, ec in adj[v])))
+            for v in range(len(color))
+        ])
+        if len(set(new)) == ncolors:
+            return new
+        color, ncolors = new, len(set(new))
+
+
+def cells_of(color):
+    cells = [[] for _ in range(max(color) + 1)]
+    for v, c in enumerate(color):
+        cells[c].append(v)
+    return cells
+
+
+def incremental_refine(adj, color, splitters):
+    packed = [[(u, ec << nbg.COLOR_BITS) for u, ec in nbrs] for nbrs in adj]
+    color, cells = list(color), cells_of(color)
+    nbg._refine(packed, color, cells, splitters)
+    assert cells == cells_of(color)
+    return color
+
+
+def check_refinement(labels, edges):
+    """Assert that the incremental refinement gives the oracle's colorings
+    at the root and after individualizing each vertex of the first
+    non-singleton cell; return how many vertices were individualized."""
+    adj = [[] for _ in labels]
+    for a, b, ec in edges:
+        adj[a].append((b, ec))
+        adj[b].append((a, ec))
+    start = rank([
+        (labels[v], len(adj[v]), tuple(sorted(ec for _, ec in adj[v])))
+        for v in range(len(labels))
+    ])
+    root = full_refine(adj, start)
+    assert incremental_refine(adj, start, range(len(labels))) == root
+    # Individualize as the search does: the old way by ranking, the new
+    # way by shifting.
+    cell = next((c for c in cells_of(root) if len(c) > 1), [])
+    for v in cell:
+        old_split = rank([(root[u], u == v) for u in range(len(root))])
+        new_split = [c + 1 if c > root[v] else c for c in root]
+        new_split[v] = root[v] + 1
+        assert new_split == old_split
+        assert incremental_refine(adj, new_split, [v]) == full_refine(
+            adj, old_split
+        )
+    return len(cell)
+
+
+def test_incremental_refinement_matches_full_recompute():
+    rng = random.Random(1931)
+    individualized = sum(
+        check_refinement(
+            *random_labeled_graph(rng, max_n=12, labels="CCN")
+        )
+        for _ in range(400)
+    )
+    assert individualized >= 150
+
+
+def test_refinement_rechecks_cells_next_to_every_later_part():
+    # F-C-C and F-C-C-C: the degree-2 carbons split three ways in the
+    # first round; the end carbons and the fluorines, whose neighbours lie
+    # in two of those parts, split only in the second.
+    labels = ("C", "F", "C", "C", "C", "F", "C")
+    edges = [(0, 1, 1), (0, 2, 1), (3, 5, 1), (3, 6, 1), (4, 6, 1)]
+    check_refinement(labels, edges)
+
+
 def test_star_search_is_pruned(monkeypatch):
     refinements = [0]
     refine = nbg._refine
 
-    def counting(adj, color):
+    def counting(*args):
         refinements[0] += 1
-        return refine(adj, color)
+        return refine(*args)
 
     monkeypatch.setattr(nbg, "_refine", counting)
     labels, edges = star_graph(6)

@@ -100,8 +100,21 @@ def test_count_gcn2_prints_bare_integer(capsys, tmp_path):
      "na_cap must be an integer, got 'big'"),
     (["encode", "--input", "{a}"], {"workers": "two"},
      "workers must be an integer, got 'two'"),
+    # Integer settings do not truncate a fraction or read a bool as 1.
+    (["generate-nbg0"], {"max_heavy": 4.9},
+     "max_heavy must be an integer, got 4.9"),
+    (["encode", "--input", "{a}"], {"workers": True},
+     "workers must be an integer, got True"),
+    (["subset", "--input", "{a}"], {"nbg_level": 2.5},
+     "nbg_level must be an integer, got 2.5"),
+    (["hist", "--input", "{a}"], {"bins": False},
+     "bins must be an integer, got False"),
+    (["kl", "{a}", "{b}"], {"epsilon": True},
+     "epsilon must be a number, got True"),
 ], ids=["hist-bins", "generate-max_heavy", "kl-epsilon", "subset-gcn2_level",
-        "complement-na_cap", "encode-workers"])
+        "complement-na_cap", "encode-workers", "generate-max_heavy-fraction",
+        "encode-workers-bool", "subset-nbg_level-fraction", "hist-bins-bool",
+        "kl-epsilon-bool"])
 def test_unconvertible_numeric_setting_is_usage_error(
     argv, config, message, capsys, tmp_path
 ):
@@ -111,6 +124,34 @@ def test_unconvertible_numeric_setting_is_usage_error(
     if config is not None:
         argv += ["--config", write(tmp_path, "cfg.json", json.dumps(config))]
     code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
+
+def test_integer_settings_accept_integral_values(capsys, tmp_path):
+    expected = run(capsys, "generate-nbg0", "--max-heavy", "4")
+    assert expected[0] == 0
+    for value in (4, "4", 4.0):
+        cfg = write(tmp_path, "cfg.json", json.dumps({"max_heavy": value}))
+        assert run(capsys, "generate-nbg0", "--config", cfg) == expected
+
+
+@pytest.mark.parametrize("argv, config, shown", [
+    (["--epsilon", "nan"], None, "nan"),
+    (["--epsilon", "inf"], None, "inf"),
+    (["--epsilon=-1e-9"], None, "-1e-09"),
+    ([], {"epsilon": "inf"}, "inf"),
+    ([], {"epsilon": "-inf"}, "-inf"),
+    ([], {"epsilon": 0}, "0.0"),
+], ids=["nan", "inf", "negative", "config-inf", "config-minus-inf", "zero"])
+def test_kl_epsilon_must_be_positive_and_finite(
+    argv, config, shown, capsys, tmp_path
+):
+    argv = ["kl", write(tmp_path, "a.jsonl", METHANE),
+            write(tmp_path, "b.jsonl", ETHANE)] + argv
+    if config is not None:
+        argv += ["--config", write(tmp_path, "cfg.json", json.dumps(config))]
+    code, out, err = run(capsys, *argv)
+    message = f"epsilon must be positive and finite, got {shown}"
     assert (code, out, err) == (2, "", f"usage error: {message}\n")
 
 

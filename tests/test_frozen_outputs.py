@@ -2,9 +2,10 @@
 
 Each digest is the sha256 of one command's ``--out`` file, header lines
 included, computed by the code before core extraction and
-canonicalization were split apart. A refactor must keep every byte; a
-deliberate change to an output must say so in CHANGES.md and update its
-digest here.
+canonicalization were split apart; the ``nbg_plus`` digests were computed
+by the code before refinement became incremental. A refactor must keep
+every byte; a deliberate change to an output must say so in CHANGES.md
+and update its digest here.
 """
 
 import hashlib
@@ -39,6 +40,13 @@ FROZEN_SHA256 = {
         "2b08a46e82a73296520fb78040876f0684e852a2e7e3215af7d029ec569d7377",
     "compare a.jsonl b.jsonl --feature scaffold":
         "5741a7e36e94c6e8d643df2d3fe5efc7222037a087a77d50b3cbf04f8cee2e9e",
+    # Whole molecules, canonicalized with labels and bond orders.
+    "kl a.jsonl b.jsonl --feature nbg_plus":
+        "420ddf21f2c3b0ea3b173db618ca564e29402869f6fd5441b519d1917d45c995",
+    "compare a.jsonl b.jsonl --feature nbg_plus":
+        "6cfe30fb1cfacb39dbc7cf9ddb73e12325648cbe80405ceca8065fe8aa681080",
+    "compare a.jsonl b.jsonl --feature nbg_plus --mode element-order":
+        "02ea780d55a6e010e23107c51e767a878bffc696eb89e8cb410a0d1dd4f1476a",
 }
 
 

@@ -136,8 +136,9 @@ def test_signature_separates_k33_from_prism():
     assert canonical_signature(*k33_graph()) != canonical_signature(*prism_graph())
 
 
-# Computed by the canonicalizer before it pruned by automorphisms, which
-# must leave every signature byte-identical. Each graph is canonicalized
+# Computed by the canonicalizer before it pruned by automorphisms (the
+# last two before refinement became incremental); neither change may move
+# a signature by a byte. Each graph is canonicalized
 # under the relabelling drawn by random.Random(its position, from 1).
 FROZEN_SIGNATURES = {
     "tetra-tert-butylmethane": "C,C,C,C,C,C,C,C,C,C,C,C,C,C,C,C,C|"
@@ -158,6 +159,15 @@ FROZEN_SIGNATURES = {
     "110000010010010000100100010100110000010001011",
     "k33": "C,C,C,C,C,C|011101110001011",
     "prism": "C,C,C,C,C,C|111001010001111",
+    "hexa-tert-butylethane": "C,C,C,C,C,C,C,C,C,C,C,C,C,C,C,C,C,C,C,C,C,C,"
+    "C,C,C,C|"
+    "00000000000000000100000000000000000000000100000000000000000000001000"
+    "00000000000000000001000000000000000000001000000000000000000010000000"
+    "00000000000010000000000000000010000000000000000100000000000000001000"
+    "00000000000100000000000001000000000000010000000000010000000000100000"
+    "00000100000000100000001000000010000010000100001001011",
+    "dicyano-bis(fluoroformyl)methane": "C,C,C,C,C,F,F,N,N,O,O|"
+    "0001003000001000300011000201010002000000000000000000000",
 }
 # sha256 of the output of `molspace generate-nbg0 --max-heavy 7` (951 lines).
 FROZEN_GENERATE_7_SHA256 = (
