@@ -7,9 +7,11 @@ carrying the tool version, the resolved configuration and a SHA-256 digest
 of every input. Exit codes: 0 success, 1 data errors (rejected records,
 missing references), 2 usage errors.
 
-A structured-text config file (``--config``) may supply any long option;
-explicit flags win over the file, which wins over built-in defaults. The
-default worker count comes from MOLSPACE_WORKERS.
+``build_parser`` declares every setting once: its default, type and
+choices. A structured-text config file (``--config``) may supply any long
+option of the command; its values are checked against that same
+declaration, so a value a flag could not take is a usage error. Explicit
+flags win over the file, which wins over the declared defaults.
 """
 
 from __future__ import annotations
@@ -35,9 +37,6 @@ from .descriptors import (
 )
 from .errors import InvalidArgument, MissingProperty, MolspaceError, ParseError
 from .molgraph import parse_molfile
-
-WORKERS_ENV = "MOLSPACE_WORKERS"
-
 
 @dataclass(frozen=True)
 class InputText:
@@ -73,39 +72,26 @@ def header_lines(
 
 
 def _finish(
-    args: argparse.Namespace,
-    cfg: dict[str, Any],
-    lines: list[str],
-    rejects: list[cov.RejectEntry],
+    args: argparse.Namespace, lines: list[str], rejects: list[cov.RejectEntry]
 ) -> int:
     """Write the output lines, then the reject lines; return the exit code."""
-    out = _setting(args, cfg, "out", "-")
     text = "\n".join(lines) + "\n"
-    if out == "-":
+    if args.out == "-":
         sys.stdout.write(text)
         sys.stdout.flush()
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
     if not rejects:
         return 0
     listing = "".join(
         f"line {r.line_no} id={r.record_id or '?'} {r.reason}\n" for r in rejects
     )
-    path = _setting(args, cfg, "rejects", None)
-    if path:
-        Path(path).write_text(listing, encoding="utf-8")
+    if args.rejects:
+        Path(args.rejects).write_text(listing, encoding="utf-8")
     else:
         sys.stderr.write(listing)
     sys.stderr.write(f"{len(rejects)} record(s) rejected\n")
     return 1
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _map_ordered(
@@ -114,9 +100,11 @@ def _map_ordered(
     """Order-preserving map, optionally across a process pool.
 
     The output is a plain ordered list either way, so results do not
-    depend on the worker count.
+    depend on the worker count. The pool has no more processes than there
+    are cores or items.
     """
-    if workers <= 1 or len(items) < 2:
+    workers = min(workers, os.cpu_count() or 1, len(items))
+    if workers <= 1:
         return [fn(x) for x in items]
     chunk = max(1, len(items) // (workers * 8))
     with Pool(workers) as pool:
@@ -173,36 +161,34 @@ def _record_task(task: tuple[str, str, str]) -> cov.Verdict:
     return cov.judge(cov.accept_record, line, partial(_RENDER[command], mode=mode))
 
 
-def _run_per_record(
-    args: argparse.Namespace, cfg: dict[str, Any], command: str
-) -> int:
-    mode = _setting(args, cfg, "mode", nbg.DEFAULT_MODE)
-    workers = _number("workers", _setting(args, cfg, "workers", _default_workers()))
-    in_format = _setting(args, cfg, "input_format", "records")
-    source = read_input(_setting(args, cfg, "input", "-"))
+def _run_per_record(args: argparse.Namespace, command: str) -> int:
+    mode = args.mode
+    source = read_input(args.input)
     # The worker count changes scheduling only, never bytes, so it is
     # deliberately left out of the echoed configuration.
-    echo = {"mode": mode, "input_format": in_format}
+    echo = {"mode": mode, "input_format": args.input_format}
 
-    if in_format == "molfile":
+    if args.input_format == "molfile":
         numbered = [(1, source.text)]
         render = partial(_RENDER[command], mode=mode)
         verdicts = [cov.judge(_accept_molfile, source.text, render)]
     else:
         numbered = cov.record_lines(source.text.splitlines())
         verdicts = _map_ordered(
-            _record_task, [(command, mode, line) for _, line in numbered], workers
+            _record_task,
+            [(command, mode, line) for _, line in numbered],
+            args.workers,
         )
     body, rejects = cov.admit(numbered, verdicts)
-    return _finish(args, cfg, header_lines(command, echo, [source]) + body, rejects)
+    return _finish(args, header_lines(command, echo, [source]) + body, rejects)
 
 
-def cmd_encode(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
-    return _run_per_record(args, cfg, "encode")
+def cmd_encode(args: argparse.Namespace) -> int:
+    return _run_per_record(args, "encode")
 
 
-def cmd_cutset(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
-    return _run_per_record(args, cfg, "cutset")
+def cmd_cutset(args: argparse.Namespace) -> int:
+    return _run_per_record(args, "cutset")
 
 
 # ---------------------------------------------------------------------------
@@ -214,30 +200,28 @@ def _parse_elements(spec: str) -> list[str]:
     return sorted(set(spec.replace(",", "")))
 
 
-def cmd_enumerate(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
-    elements = _parse_elements(_setting(args, cfg, "elements", "CNOF"))
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    elements = _parse_elements(args.elements)
     if args.level == "gcn0":
         codes = gcn.enumerate_gcn0(elements)
     else:
         codes = gcn.enumerate_gcn1(elements)
-    return _finish(args, cfg, sorted(codes, reverse=True), [])
+    return _finish(args, sorted(codes, reverse=True), [])
 
 
-def cmd_count_gcn2(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
-    source = read_input(_setting(args, cfg, "gcn1_list", "-"))
+def cmd_count_gcn2(args: argparse.Namespace) -> int:
+    source = read_input(args.gcn1_list)
     stripped = (line.strip() for line in source.text.splitlines())
     codes = [code for code in stripped if code and not code.startswith("#")]
-    elements_spec = _setting(args, cfg, "elements", None)
-    elements = _parse_elements(elements_spec) if elements_spec else None
+    elements = _parse_elements(args.elements) if args.elements else None
     total = gcn.count_gcn2(codes, elements)
-    return _finish(args, cfg, [str(total)], [])
+    return _finish(args, [str(total)], [])
 
 
-def cmd_generate_nbg0(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
-    max_heavy = _number("max_heavy", _setting(args, cfg, "max_heavy", 3))
-    header = {"generator": "nbg0", "max_heavy": max_heavy, "mode": "skeleton"}
-    text = nbg.serialize_topologies(nbg.nbg0_generate(max_heavy), header)
-    return _finish(args, cfg, text.splitlines(), [])
+def cmd_generate_nbg0(args: argparse.Namespace) -> int:
+    header = {"generator": "nbg0", "max_heavy": args.max_heavy, "mode": "skeleton"}
+    text = nbg.serialize_topologies(nbg.nbg0_generate(args.max_heavy), header)
+    return _finish(args, text.splitlines(), [])
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +238,13 @@ def _ingest_path(path: str, name: str | None = None) -> tuple[
     return table, rejects, source
 
 
-def cmd_coverage(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
-    fmt = _setting(args, cfg, "format", "json")
-    table, rejects, source = _ingest_path(
-        _setting(args, cfg, "input", "-"), _setting(args, cfg, "name", None)
-    )
+def cmd_coverage(args: argparse.Namespace) -> int:
+    table, rejects, source = _ingest_path(args.input, args.name)
     report = cov.coverage_report(table).to_dict()
-    lines = header_lines("coverage", {"format": fmt, "name": table.name}, [source])
-    if fmt == "json":
+    lines = header_lines(
+        "coverage", {"format": args.format, "name": table.name}, [source]
+    )
+    if args.format == "json":
         lines.append(json.dumps(report, sort_keys=False))
     else:
         flat: list[tuple[str, Any]] = []
@@ -274,16 +257,15 @@ def cmd_coverage(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
         width = max(len(k) for k, _ in flat)
         for key, value in flat:
             lines.append(f"{key.ljust(width)}  {value}")
-    return _finish(args, cfg, lines, rejects)
+    return _finish(args, lines, rejects)
 
 
 def _multi_ingest(
-    args: argparse.Namespace, cfg: dict[str, Any]
+    args: argparse.Namespace,
 ) -> tuple[list[cov.DatasetTable], list[cov.RejectEntry], list[InputText]]:
     paths = args.inputs
-    names_spec = _setting(args, cfg, "names", None)
-    if names_spec:
-        names = [n.strip() for n in str(names_spec).split(",")]
+    if args.names:
+        names = [n.strip() for n in args.names.split(",")]
         if len(names) != len(paths):
             raise InvalidArgument(
                 f"--names lists {len(names)} names for {len(paths)} inputs"
@@ -305,71 +287,60 @@ def _multi_ingest(
     return tables, rejects, sources
 
 
-def cmd_compare(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
-    feature = _setting(args, cfg, "feature", "gcn1")
-    mode = _setting(args, cfg, "mode", nbg.DEFAULT_MODE)
-    tables, rejects, sources = _multi_ingest(args, cfg)
-    regions = cov.overlap_report(tables, feature, mode)
-    lines = header_lines("compare", {"feature": feature, "mode": mode}, sources)
+def cmd_compare(args: argparse.Namespace) -> int:
+    tables, rejects, sources = _multi_ingest(args)
+    regions = cov.overlap_report(tables, args.feature, args.mode)
+    lines = header_lines(
+        "compare", {"feature": args.feature, "mode": args.mode}, sources
+    )
     lines.append("region\tcount")
     for key, value in regions.items():
         lines.append(f"{key}\t{value}")
-    return _finish(args, cfg, lines, rejects)
+    return _finish(args, lines, rejects)
 
 
-def cmd_kl(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
-    feature = _setting(args, cfg, "feature", "gcn1")
-    mode = _setting(args, cfg, "mode", nbg.DEFAULT_MODE)
-    epsilon = _number("epsilon", _setting(args, cfg, "epsilon", 1e-9), float)
-    tables, rejects, sources = _multi_ingest(args, cfg)
-    km = cov.kl_matrix(tables, feature, epsilon, mode)
-    lines = header_lines(
-        "kl", {"feature": feature, "mode": mode, "epsilon": epsilon}, sources
-    )
+def cmd_kl(args: argparse.Namespace) -> int:
+    tables, rejects, sources = _multi_ingest(args)
+    km = cov.kl_matrix(tables, args.feature, args.epsilon, args.mode)
+    echo = {"feature": args.feature, "mode": args.mode, "epsilon": args.epsilon}
+    lines = header_lines("kl", echo, sources)
     lines.append("name\t" + "\t".join(km.names))
     for row_name, row in zip(km.names, km.matrix):
         lines.append(row_name + "\t" + "\t".join(repr(v) for v in row))
-    return _finish(args, cfg, lines, rejects)
+    return _finish(args, lines, rejects)
 
 
-def cmd_hist(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
-    prop = _setting(args, cfg, "property", "Na")
-    bins_raw = _setting(args, cfg, "bins", "unit")
-    bins: int | str = bins_raw if bins_raw == "unit" else _number("bins", bins_raw)
-    table, rejects, source = _ingest_path(_setting(args, cfg, "input", "-"))
-    hist = cov.histogram(table, prop, bins)
-    lines = header_lines("hist", {"property": prop, "bins": bins_raw}, [source])
+def cmd_hist(args: argparse.Namespace) -> int:
+    bins = args.bins if args.bins == "unit" else int(args.bins)
+    table, rejects, source = _ingest_path(args.input)
+    hist = cov.histogram(table, args.property, bins)
+    # bins is echoed as given: "5" from a flag, 5 from a config file.
+    echo = {"property": args.property, "bins": args.bins}
+    lines = header_lines("hist", echo, [source])
     lines.append(f"# used={hist.used} skipped={hist.skipped} kind={hist.kind}")
     lines.append("low\thigh\tcount")
     for lo, hi, count in hist.entries:
         lines.append(f"{lo!r}\t{hi!r}\t{count}")
-    return _finish(args, cfg, lines, rejects)
+    return _finish(args, lines, rejects)
 
 
-def cmd_subset(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
-    gcn2_max = _number("gcn2_level", _setting(args, cfg, "gcn2_level", 16))
-    nbg_max = _number("nbg_level", _setting(args, cfg, "nbg_level", 22))
-    table, rejects, source = _ingest_path(_setting(args, cfg, "input", "-"))
-    ids = cov.expansion_subsets(table, gcn2_max, nbg_max)
-    lines = header_lines(
-        "subset", {"gcn2_level": gcn2_max, "nbg_level": nbg_max}, [source]
-    )
+def cmd_subset(args: argparse.Namespace) -> int:
+    table, rejects, source = _ingest_path(args.input)
+    ids = cov.expansion_subsets(table, args.gcn2_level, args.nbg_level)
+    echo = {"gcn2_level": args.gcn2_level, "nbg_level": args.nbg_level}
+    lines = header_lines("subset", echo, [source])
     lines.extend(sorted(ids))
-    return _finish(args, cfg, lines, rejects)
+    return _finish(args, lines, rejects)
 
 
-def cmd_complement(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
-    feature = _setting(args, cfg, "feature", "gcn1")
-    na_cap_raw = _setting(args, cfg, "na_cap", None)
-    na_cap = _number("na_cap", na_cap_raw) if na_cap_raw is not None else None
-    train, rej1, src1 = _ingest_path(_setting(args, cfg, "train", "-"))
-    eval_table, rej2, src2 = _ingest_path(_setting(args, cfg, "eval", "-"))
-    ids = cov.structure_complement(train, eval_table, feature, na_cap)
-    lines = header_lines(
-        "complement", {"feature": feature, "na_cap": na_cap}, [src1, src2]
-    )
+def cmd_complement(args: argparse.Namespace) -> int:
+    train, rej1, src1 = _ingest_path(args.train)
+    eval_table, rej2, src2 = _ingest_path(args.eval)
+    ids = cov.structure_complement(train, eval_table, args.feature, args.na_cap)
+    echo = {"feature": args.feature, "na_cap": args.na_cap}
+    lines = header_lines("complement", echo, [src1, src2])
     lines.extend(sorted(ids))
-    return _finish(args, cfg, lines, rej1 + rej2)
+    return _finish(args, lines, rej1 + rej2)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +348,8 @@ def cmd_complement(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_egcn0(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
-    source = read_input(_setting(args, cfg, "orbitals", "-"))
+def cmd_egcn0(args: argparse.Namespace) -> int:
+    source = read_input(args.orbitals)
     rows = load_orbital_lines(source.text.splitlines())
     per_atom: dict[str, list] = {}
     atom_group: dict[str, str | None] = {}
@@ -387,9 +358,8 @@ def cmd_egcn0(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
         if atom not in atom_group or atom_group[atom] is None:
             atom_group[atom] = group
     energies = {atom: e_gcn0(recs) for atom, recs in per_atom.items()}
-    want_stats = bool(_setting(args, cfg, "stats", False))
-    lines = header_lines("egcn0", {"stats": want_stats}, [source])
-    if want_stats:
+    lines = header_lines("egcn0", {"stats": args.stats}, [source])
+    if args.stats:
         pairs = [
             (atom_group[atom], energies[atom])
             for atom in energies
@@ -404,14 +374,14 @@ def cmd_egcn0(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
         lines.append("atom\te_gcn0")
         for atom in sorted(energies):
             lines.append(f"{atom}\t{energies[atom]!r}")
-    return _finish(args, cfg, lines, [])
+    return _finish(args, lines, [])
 
 
-def cmd_bind_energy(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
-    prop = _setting(args, cfg, "property", "e_tot")
-    refs_source = read_input(_setting(args, cfg, "refs", "-"))
+def cmd_bind_energy(args: argparse.Namespace) -> int:
+    prop = args.property
+    refs_source = read_input(args.refs)
     refs = load_reference_lines(refs_source.text.splitlines())
-    table, rejects, source = _ingest_path(_setting(args, cfg, "input", "-"))
+    table, rejects, source = _ingest_path(args.input)
     lines = header_lines(
         "bind-energy", {"property": prop}, [source, refs_source]
     )
@@ -429,7 +399,7 @@ def cmd_bind_energy(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
             )
             continue
         lines.append(f"{record.id}\t{value!r}")
-    return _finish(args, cfg, lines, rejects)
+    return _finish(args, lines, rejects)
 
 
 # ---------------------------------------------------------------------------
@@ -437,27 +407,22 @@ def cmd_bind_energy(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_align(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
+def cmd_align(args: argparse.Namespace) -> int:
     action = args.action
-    e0_prop = _setting(args, cfg, "e0", "e0")
-    table, rejects, source = _ingest_path(_setting(args, cfg, "input", "-"))
+    e0_prop, e1_prop = args.e0, args.e1
+    table, rejects, source = _ingest_path(args.input)
 
     if action == "fit":
-        mode = _setting(args, cfg, "mode", "composition")
-        ridge = _number(
-            "ridge", _setting(args, cfg, "ridge", align_mod.DEFAULT_RIDGE), float
-        )
-        e1_prop = _setting(args, cfg, "e1", "e1")
-        pairs = align_mod.build_features(table, e0_prop, mode, e1_prop)
-        model = align_mod.fit(pairs, ridge=ridge, mode=mode)
+        pairs = align_mod.build_features(table, e0_prop, args.mode, e1_prop)
+        model = align_mod.fit(pairs, ridge=args.ridge, mode=args.mode)
         lines = header_lines(
             "align fit",
-            {"mode": mode, "ridge": ridge, "e0": e0_prop, "e1": e1_prop},
+            {"mode": args.mode, "ridge": args.ridge, "e0": e0_prop, "e1": e1_prop},
             [source],
         )
         lines.extend(align_mod.save_model(model).splitlines())
     else:
-        model_source = read_input(_setting(args, cfg, "model", "-"))
+        model_source = read_input(args.model)
         model = align_mod.load_model(model_source.text)
         if action == "apply":
             pairs = align_mod.build_features(table, e0_prop, model.mode)
@@ -469,40 +434,23 @@ def cmd_align(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
             for record, (fv, _) in zip(table.records, pairs):
                 lines.append(f"{record.id}\t{align_mod.apply(model, fv)!r}")
         else:  # stats
-            e1_prop = _setting(args, cfg, "e1", "e1")
-            threshold = _number(
-                "threshold",
-                _setting(args, cfg, "threshold", align_mod.DEFAULT_OUTLIER_THRESHOLD),
-                float,
-            )
             pairs = align_mod.build_features(table, e0_prop, model.mode, e1_prop)
-            stats = align_mod.residual_stats(model, pairs, threshold)
+            stats = align_mod.residual_stats(model, pairs, args.threshold)
             lines = header_lines(
                 "align stats",
-                {"e0": e0_prop, "e1": e1_prop, "threshold": threshold},
+                {"e0": e0_prop, "e1": e1_prop, "threshold": args.threshold},
                 [source, model_source],
             )
             lines.append(f"n\t{stats.n}")
             lines.append(f"mae\t{stats.mae!r}")
             lines.append(f"rmsd\t{stats.rmsd!r}")
             lines.append(f"outliers\t{stats.outliers}")
-    return _finish(args, cfg, lines, rejects)
+    return _finish(args, lines, rejects)
 
 
 # ---------------------------------------------------------------------------
 # wiring
 # ---------------------------------------------------------------------------
-
-
-def _setting(
-    args: argparse.Namespace, cfg: dict[str, Any], name: str, default: Any
-) -> Any:
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in cfg:
-        return cfg[name]
-    return default
 
 
 def _number(name: str, value: Any, kind: Callable[[Any], Any] = int) -> Any:
@@ -520,11 +468,51 @@ def _number(name: str, value: Any, kind: Callable[[Any], Any] = int) -> Any:
         raise InvalidArgument(f"{name} must be {noun}, got {value!r}") from None
 
 
+# Option types that argparse applies to a flag's text and _config_value to
+# a config value. Each raises InvalidArgument, which argparse lets through,
+# so both sources give the same usage error.
+
+
+def _workers(value: Any) -> int:
+    count = _number("workers", value)
+    if count < 1:
+        raise InvalidArgument(f"workers must be at least 1, got {count}")
+    return count
+
+
+def _bins(value: Any) -> Any:
+    """'unit' or a bin count, kept as given: the header echoes it."""
+    if value != "unit":
+        _number("bins", value)
+    return value
+
+
+def _config_value(action: argparse.Action, value: Any) -> Any:
+    """Check a config-file value against its option's declaration."""
+    name = action.dest
+    if action.choices is not None:
+        if value not in action.choices:
+            choices = ", ".join(action.choices)
+            raise InvalidArgument(f"{name} must be one of {choices}, got {value!r}")
+    elif action.type in (int, float):
+        value = _number(name, value, action.type)
+    elif action.type is not None:
+        value = action.type(value)
+    elif action.nargs == 0:
+        if not isinstance(value, bool):
+            raise InvalidArgument(f"{name} must be true or false, got {value!r}")
+    elif not isinstance(value, str):
+        raise InvalidArgument(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--out", help="output path, '-' for stdout (default)")
+    sp.add_argument("--out", default="-",
+                    help="output path, '-' for stdout (default)")
     sp.add_argument("--rejects", help="path for reject entries (default stderr)")
     sp.add_argument("--config", help="structured-text config file")
-    sp.add_argument("--workers", type=int, help="worker process count")
+    sp.add_argument("--workers", type=_workers, default=1,
+                    help="worker process count, at least 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -539,132 +527,154 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("encode", help="per-record codes, cut sets and cores")
-    sp.add_argument("--input", help="record lines or molfile, '-' for stdin")
-    sp.add_argument("--input-format", dest="input_format",
+    sp.add_argument("--input", default="-",
+                    help="record lines or molfile, '-' for stdin")
+    sp.add_argument("--input-format", dest="input_format", default="records",
                     choices=("records", "molfile"))
-    sp.add_argument("--mode", choices=nbg.MODES)
+    sp.add_argument("--mode", choices=nbg.MODES, default=nbg.DEFAULT_MODE)
     _add_common(sp)
     sp.set_defaults(func=cmd_encode)
 
     sp = sub.add_parser("cutset", help="cut vertex / bridge counts per record")
-    sp.add_argument("--input")
-    sp.add_argument("--input-format", dest="input_format",
+    sp.add_argument("--input", default="-")
+    sp.add_argument("--input-format", dest="input_format", default="records",
                     choices=("records", "molfile"))
     _add_common(sp)
-    sp.set_defaults(func=cmd_cutset)
+    # cutset has no --mode; its header echoes the default one.
+    sp.set_defaults(func=cmd_cutset, mode=nbg.DEFAULT_MODE)
 
     sp = sub.add_parser("enumerate", help="enumerate admissible codes")
     sp.add_argument("level", choices=("gcn0", "gcn1"))
-    sp.add_argument("--elements", help="element subset, e.g. CNOF or OF")
+    sp.add_argument("--elements", default="CNOF",
+                    help="element subset, e.g. CNOF or OF")
     _add_common(sp)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("count-gcn2", help="exact level-2 code count")
-    sp.add_argument("--gcn1-list", dest="gcn1_list",
+    sp.add_argument("--gcn1-list", dest="gcn1_list", default="-",
                     help="file of level-1 codes, one per line")
     sp.add_argument("--elements")
     _add_common(sp)
     sp.set_defaults(func=cmd_count_gcn2)
 
     sp = sub.add_parser("generate-nbg0", help="enumerate bridge-free cores")
-    sp.add_argument("--max-heavy", dest="max_heavy", type=int)
+    sp.add_argument("--max-heavy", dest="max_heavy", type=int, default=3)
     _add_common(sp)
     sp.set_defaults(func=cmd_generate_nbg0)
 
     sp = sub.add_parser("coverage", help="dataset inventory report")
-    sp.add_argument("--input")
+    sp.add_argument("--input", default="-")
     sp.add_argument("--name", help="dataset name for the report")
-    sp.add_argument("--format", choices=("json", "table"))
+    sp.add_argument("--format", choices=("json", "table"), default="json")
     _add_common(sp)
     sp.set_defaults(func=cmd_coverage)
 
     sp = sub.add_parser("compare", help="type-set overlap regions")
     sp.add_argument("inputs", nargs="+", help="two or three record files")
-    sp.add_argument("--feature", choices=cov.TYPE_FEATURES)
-    sp.add_argument("--mode", choices=nbg.MODES)
+    sp.add_argument("--feature", choices=cov.TYPE_FEATURES, default="gcn1")
+    sp.add_argument("--mode", choices=nbg.MODES, default=nbg.DEFAULT_MODE)
     sp.add_argument("--names", help="comma-separated dataset names")
     _add_common(sp)
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("kl", help="pairwise divergence matrix")
     sp.add_argument("inputs", nargs="+")
-    sp.add_argument("--feature", choices=cov.TYPE_FEATURES)
-    sp.add_argument("--mode", choices=nbg.MODES)
-    sp.add_argument("--epsilon", type=float)
+    sp.add_argument("--feature", choices=cov.TYPE_FEATURES, default="gcn1")
+    sp.add_argument("--mode", choices=nbg.MODES, default=nbg.DEFAULT_MODE)
+    sp.add_argument("--epsilon", type=float, default=1e-9)
     sp.add_argument("--names")
     _add_common(sp)
     sp.set_defaults(func=cmd_kl)
 
     sp = sub.add_parser("hist", help="property histogram")
-    sp.add_argument("--input")
-    sp.add_argument("--property")
-    sp.add_argument("--bins", help="'unit' or a bin count")
+    sp.add_argument("--input", default="-")
+    sp.add_argument("--property", default="Na")
+    sp.add_argument("--bins", type=_bins, default="unit",
+                    help="'unit' or a bin count")
     _add_common(sp)
     sp.set_defaults(func=cmd_hist)
 
     sp = sub.add_parser("subset", help="records within level thresholds")
-    sp.add_argument("--input")
-    sp.add_argument("--gcn2-level", dest="gcn2_level", type=int)
-    sp.add_argument("--nbg-level", dest="nbg_level", type=int)
+    sp.add_argument("--input", default="-")
+    sp.add_argument("--gcn2-level", dest="gcn2_level", type=int, default=16)
+    sp.add_argument("--nbg-level", dest="nbg_level", type=int, default=22)
     _add_common(sp)
     sp.set_defaults(func=cmd_subset)
 
     sp = sub.add_parser("complement", help="eval records with unseen types")
-    sp.add_argument("--train")
-    sp.add_argument("--eval")
-    sp.add_argument("--feature", choices=cov.COMPLEMENT_FEATURES)
+    sp.add_argument("--train", default="-")
+    sp.add_argument("--eval", default="-")
+    sp.add_argument("--feature", choices=cov.COMPLEMENT_FEATURES, default="gcn1")
     sp.add_argument("--na-cap", dest="na_cap", type=int)
     _add_common(sp)
     sp.set_defaults(func=cmd_complement)
 
     sp = sub.add_parser("egcn0", help="occupation-weighted orbital energies")
-    sp.add_argument("--orbitals")
-    sp.add_argument("--stats", action="store_const", const=True,
+    sp.add_argument("--orbitals", default="-")
+    sp.add_argument("--stats", action="store_true",
                     help="emit per-group statistics instead of per-atom values")
     _add_common(sp)
     sp.set_defaults(func=cmd_egcn0)
 
     sp = sub.add_parser("bind-energy", help="total minus atomic references")
-    sp.add_argument("--input")
-    sp.add_argument("--refs")
-    sp.add_argument("--property", help="total-energy property name")
+    sp.add_argument("--input", default="-")
+    sp.add_argument("--refs", default="-")
+    sp.add_argument("--property", default="e_tot",
+                    help="total-energy property name")
     _add_common(sp)
     sp.set_defaults(func=cmd_bind_energy)
 
     sp = sub.add_parser("align", help="linear cross-protocol alignment")
     sp.add_argument("action", choices=("fit", "apply", "stats"))
-    sp.add_argument("--input")
-    sp.add_argument("--mode", choices=align_mod.MODES)
-    sp.add_argument("--ridge", type=float)
-    sp.add_argument("--e0", help="source-protocol property name")
-    sp.add_argument("--e1", help="target-protocol property name")
-    sp.add_argument("--model", help="fitted model file (apply/stats)")
-    sp.add_argument("--threshold", type=float, help="outlier threshold")
+    sp.add_argument("--input", default="-")
+    sp.add_argument("--mode", choices=align_mod.MODES, default="composition")
+    sp.add_argument("--ridge", type=float, default=align_mod.DEFAULT_RIDGE)
+    sp.add_argument("--e0", default="e0", help="source-protocol property name")
+    sp.add_argument("--e1", default="e1", help="target-protocol property name")
+    sp.add_argument("--model", default="-",
+                    help="fitted model file (apply/stats)")
+    sp.add_argument("--threshold", type=float,
+                    default=align_mod.DEFAULT_OUTLIER_THRESHOLD,
+                    help="outlier threshold")
     _add_common(sp)
     sp.set_defaults(func=cmd_align)
 
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> dict[str, Any]:
-    path = getattr(args, "config", None)
-    if not path:
-        return {}
+def _install_config(parser: argparse.ArgumentParser, command: str, path: str) -> None:
+    """Make a config file's values the command's defaults, so flags still
+    win over them. Each value is checked against its option's declaration;
+    a key that names no option of the command is ignored, so one file can
+    serve several commands."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidArgument(f"cannot read config {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise InvalidArgument("config file must hold a single object")
-    return {str(k).replace("-", "_"): v for k, v in obj.items()}
+    # argparse has no public way to reach a subcommand's parser or options.
+    (subparsers,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    sp = subparsers.choices[command]
+    options = {a.dest: a for a in sp._actions if a.option_strings and a.dest != "help"}
+    settings = {str(k).replace("-", "_"): v for k, v in obj.items()}
+    sp.set_defaults(**{
+        name: _config_value(options[name], value)
+        for name, value in settings.items()
+        if name in options
+    })
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args)
-        return args.func(args, cfg)
+        args = parser.parse_args(argv)
+        if args.config:
+            _install_config(parser, args.command, args.config)
+            args = parser.parse_args(argv)
+        return args.func(args)
     except InvalidArgument as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -478,12 +478,15 @@ def structure_complement(
 
     feature is one of gcn1, nbg_plus (whole-molecule topology with
     elements and bond orders) or scaffold. The optional na_cap drops eval
-    records with more heavy atoms than the cap before the comparison.
+    records with more heavy atoms than the cap before the comparison; a
+    negative cap would drop every record, so it raises InvalidArgument.
     """
     if feature not in COMPLEMENT_FEATURES:
         raise InvalidArgument(
             f"feature must be one of {COMPLEMENT_FEATURES}, got {feature!r}"
         )
+    if na_cap is not None and na_cap < 0:
+        raise InvalidArgument(f"na_cap must be non-negative, got {na_cap}")
     known = type_set(train, feature)
     out: set[str] = set()
     for record in eval_table.records:

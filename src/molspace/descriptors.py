@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from .errors import DegenerateWeights, InvalidArgument, MissingReference, ParseError
 
@@ -100,12 +100,11 @@ def load_orbital_lines(
             raise ParseError(f"orbital line {lineno}: need 'occ' and 'energy'")
         if "atom" not in obj:
             raise ParseError(f"orbital line {lineno}: need an 'atom' id")
-        try:
-            rec = OrbitalRecord(
-                occupancy=float(obj["occ"]), energy=float(obj["energy"])
-            )
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"orbital line {lineno}: non-numeric field") from exc
+        where = f"orbital line {lineno}"
+        rec = OrbitalRecord(
+            occupancy=_finite(obj, "occ", where),
+            energy=_finite(obj, "energy", where),
+        )
         group = obj.get("group")
         out.append((str(obj["atom"]), None if group is None else str(group), rec))
     return out
@@ -126,5 +125,19 @@ def load_reference_lines(lines: Iterable[str]) -> dict[str, float]:
             raise ParseError(
                 f"reference line {lineno}: need 'element' and 'energy'"
             )
-        refs[str(obj["element"])] = float(obj["energy"])
+        where = f"reference line {lineno}"
+        refs[str(obj["element"])] = _finite(obj, "energy", where)
     return refs
+
+
+def _finite(obj: Mapping[str, Any], key: str, where: str) -> float:
+    """A loader's numeric field as a float; ParseError unless it is a
+    finite number, as for record properties."""
+    value = obj[key]
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{where}: {key} is not a number: {value!r}") from None
+    if not math.isfinite(number):
+        raise ParseError(f"{where}: {key} is not finite: {value!r}")
+    return number

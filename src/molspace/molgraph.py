@@ -52,8 +52,8 @@ class MolGraph:
     """A parsed molecule, prior to hydrogen suppression.
 
     ``elements`` may include ``"H"`` entries (explicit-hydrogen input).
-    When ``explicit_h`` is False the graph came from the heavy-atom record
-    format and ``h_counts`` holds one hydrogen count per atom. ``props``
+    When ``h_counts`` is set the graph came from the heavy-atom record
+    format, and it holds one hydrogen count per atom. ``props``
     holds the record's (name, value) properties in input order and
     ``mol`` names the parent molecule (the id when the record gives none).
     """
@@ -61,7 +61,6 @@ class MolGraph:
     id: str
     elements: tuple[str, ...]
     bonds: tuple[tuple[int, int, int], ...]
-    explicit_h: bool
     h_counts: tuple[int, ...] | None = None
     props: tuple[tuple[str, float], ...] = ()
     mol: str = ""
@@ -220,7 +219,6 @@ def _parse_molfile_blocks(name: str, lines: list[str]) -> MolGraph:
         id=name,
         elements=tuple(elements),
         bonds=bonds,
-        explicit_h=any(el == "H" for el in elements),
         h_counts=None,
         mol=name,
     )
@@ -329,7 +327,6 @@ def _parse_record_fields(rec_id: str, obj: Mapping[str, Any]) -> MolGraph:
         id=rec_id,
         elements=tuple(elements),
         bonds=bonds,
-        explicit_h=False,
         h_counts=tuple(h_counts),
         props=tuple(props),
         mol=str(obj["mol"]) if "mol" in obj else rec_id,

@@ -341,27 +341,6 @@ def _join(forest: list[int], a: int, b: int) -> None:
         forest[max(a, b)] = min(a, b)
 
 
-def decode_signature(signature: str) -> tuple[tuple[str, ...], list[tuple[int, int, int]]]:
-    """Recover (labels, edges) from a signature string."""
-    try:
-        label_part, tri = signature.split("|")
-    except ValueError as exc:
-        raise InvalidArgument(f"not a signature: {signature!r}") from exc
-    labels = tuple(label_part.split(",")) if label_part else ()
-    n = len(labels)
-    if len(tri) != n * (n - 1) // 2:
-        raise InvalidArgument(f"signature matrix length mismatch: {signature!r}")
-    edges: list[tuple[int, int, int]] = []
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            ec = ord(tri[k]) - 48
-            if ec:
-                edges.append((i, j, ec))
-            k += 1
-    return labels, edges
-
-
 def topology_of(
     elements: tuple[str, ...],
     edges: list[tuple[int, int, int]],

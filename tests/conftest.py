@@ -195,6 +195,17 @@ def random_labeled_graph(rng, max_n=8, labels="CNO", colors=(1, 2, 3)):
     return vlabels, edges
 
 
+def decode_signature(signature):
+    """(labels, edges) of a canonical signature: comma-separated labels,
+    '|', then the upper triangle of the bond-order matrix, row by row."""
+    label_part, tri = signature.split("|")
+    labels = tuple(label_part.split(",")) if label_part else ()
+    n = len(labels)
+    assert len(tri) == n * (n - 1) // 2, signature
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return labels, [(i, j, int(c)) for (i, j), c in zip(pairs, tri) if c != "0"]
+
+
 def permute_graph(rng, labels, edges):
     """Apply a random vertex permutation; the signature must not change."""
     n = len(labels)

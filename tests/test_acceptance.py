@@ -18,6 +18,7 @@ import time
 from conftest import (
     benzoic_acid,
     build,
+    decode_signature,
     oracle_cuts,
     permute_graph,
     phenylethyl_pyridine,
@@ -42,7 +43,6 @@ from molspace.molgraph import validate
 from molspace.nbg import (
     canonical_signature,
     cut_decomposition,
-    decode_signature,
     nbg0_generate,
     serialize_topologies,
 )

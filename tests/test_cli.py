@@ -1,5 +1,6 @@
 """Command line behavior: formats, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import molspace
-from molspace.cli import main
+from molspace import cli
+from molspace.cli import build_parser, main
 
 from conftest import WATER_MOLFILE, record_line
 
@@ -42,6 +44,17 @@ def write(tmp_path, name, *lines):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
+
+
+def run_on_two_files(capsys, tmp_path, argv, config):
+    """Run argv with {a} and {b} naming two record files, and with config,
+    unless it is None, as a --config file."""
+    paths = {"a": write(tmp_path, "a.jsonl", METHANE),
+             "b": write(tmp_path, "b.jsonl", ETHANE)}
+    argv = [arg.format(**paths) for arg in argv]
+    if config is not None:
+        argv += ["--config", write(tmp_path, "cfg.json", json.dumps(config))]
+    return run(capsys, *argv)
 
 
 def test_version_flag(capsys):
@@ -118,13 +131,198 @@ def test_count_gcn2_prints_bare_integer(capsys, tmp_path):
 def test_unconvertible_numeric_setting_is_usage_error(
     argv, config, message, capsys, tmp_path
 ):
-    paths = {"a": write(tmp_path, "a.jsonl", METHANE),
-             "b": write(tmp_path, "b.jsonl", ETHANE)}
-    argv = [arg.format(**paths) for arg in argv]
-    if config is not None:
-        argv += ["--config", write(tmp_path, "cfg.json", json.dumps(config))]
-    code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (2, "", f"usage error: {message}\n")
+    assert run_on_two_files(capsys, tmp_path, argv, config) == (
+        2, "", f"usage error: {message}\n"
+    )
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["enumerate", "gcn0"], {"elements": 5}, "elements must be a string, got 5"),
+    (["coverage"], {"input": 5}, "input must be a string, got 5"),
+    (["hist", "--input", "{a}"], {"property": 3},
+     "property must be a string, got 3"),
+    (["coverage", "--input", "{a}"], {"out": 7}, "out must be a string, got 7"),
+    (["encode", "--input", "{a}"], {"mode": "bogus"},
+     "mode must be one of element-order, skeleton, skeleton-no-order, "
+     "got 'bogus'"),
+    (["encode", "--input", "{a}"], {"input_format": "xml"},
+     "input_format must be one of records, molfile, got 'xml'"),
+    (["coverage", "--input", "{a}"], {"format": "xml"},
+     "format must be one of json, table, got 'xml'"),
+    (["egcn0"], {"stats": "false"}, "stats must be true or false, got 'false'"),
+    (["complement", "--train", "{a}", "--eval", "{b}"], {"na_cap": None},
+     "na_cap must be an integer, got None"),
+    (["encode", "--input", "{a}", "--workers", "-3"], None,
+     "workers must be at least 1, got -3"),
+    (["encode", "--input", "{a}", "--workers", "two"], None,
+     "workers must be an integer, got 'two'"),
+    (["cutset", "--input", "{a}"], {"workers": 0},
+     "workers must be at least 1, got 0"),
+    (["coverage", "--input", "{a}"], {"workers": -1},
+     "workers must be at least 1, got -1"),
+    (["complement", "--train", "{a}", "--eval", "{b}", "--na-cap", "-5"], None,
+     "na_cap must be non-negative, got -5"),
+    (["complement", "--train", "{a}", "--eval", "{b}"], {"na_cap": -1},
+     "na_cap must be non-negative, got -1"),
+], ids=["enumerate-elements", "coverage-input", "hist-property", "out",
+        "encode-mode", "encode-input_format", "coverage-format", "egcn0-stats",
+        "complement-na_cap-null", "workers-negative-flag", "workers-text-flag",
+        "workers-zero", "workers-unused", "na_cap-negative-flag",
+        "na_cap-negative"])
+def test_setting_a_flag_could_not_take_is_usage_error(
+    argv, config, message, capsys, tmp_path
+):
+    # METHANE is acyclic, so a bad mode is refused before any core needs it.
+    assert run_on_two_files(capsys, tmp_path, argv, config) == (
+        2, "", f"usage error: {message}\n"
+    )
+
+
+def _options():
+    """(command, action) for every option of every subcommand."""
+    (subparsers,) = [
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    for command, sp in subparsers.choices.items():
+        for action in sp._actions:
+            if action.option_strings and action.dest != "help":
+                yield command, action
+
+
+def _bad_values(action):
+    """Config values the option's flag could never produce."""
+    if action.choices is not None:
+        return ["bogus", 5]
+    if action.nargs == 0:
+        return ["false", 1]
+    if action.type is None:
+        return [5, True]
+    return [True, [1]]
+
+
+POSITIONALS = {"enumerate": ["gcn0"], "compare": ["{a}", "{b}"],
+               "kl": ["{a}", "{b}"], "align": ["fit"]}
+BAD_CONFIGS = [
+    (command, action.dest, value)
+    for command, action in _options()
+    for value in _bad_values(action)
+]
+
+
+@pytest.mark.parametrize(
+    "command, name, value", BAD_CONFIGS,
+    ids=[f"{c}-{n}-{v!r}" for c, n, v in BAD_CONFIGS],
+)
+def test_every_option_checks_its_config_value(
+    command, name, value, capsys, tmp_path
+):
+    argv = [command, *POSITIONALS.get(command, [])]
+    code, out, err = run_on_two_files(capsys, tmp_path, argv, {name: value})
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: {name} must be ")
+    assert err.endswith(f", got {value!r}\n")
+
+
+# Non-default settings for every command: (positionals, settings).
+EQUIVALENT_RUNS = {
+    "encode": ([], {"input": "{a}", "mode": "element-order", "workers": 2}),
+    "cutset": ([], {"input": "{mol}", "input_format": "molfile"}),
+    "enumerate": (["gcn1"], {"elements": "OF"}),
+    "count-gcn2": ([], {"gcn1_list": "{codes}", "elements": "O"}),
+    "generate-nbg0": ([], {"max_heavy": 4}),
+    "coverage": ([], {"input": "{a}", "name": "ds", "format": "table"}),
+    "compare": (["{a}", "{b}"],
+                {"feature": "nbg0", "mode": "element-order", "names": "x,y"}),
+    "kl": (["{a}", "{b}"], {"feature": "gcn0", "mode": "skeleton-no-order",
+                            "epsilon": 1e-6, "names": "x,y"}),
+    "hist": ([], {"input": "{a}", "property": "e0", "bins": "3"}),
+    "subset": ([], {"input": "{b}", "gcn2_level": 1, "nbg_level": 1}),
+    "complement": ([], {"train": "{a}", "eval": "{b}", "feature": "scaffold",
+                        "na_cap": 7}),
+    "egcn0": ([], {"orbitals": "{orbs}", "stats": True}),
+    "bind-energy": ([], {"input": "{a}", "refs": "{refs}", "property": "e1"}),
+    "align fit": (["fit"], {"input": "{a}", "mode": "plain", "ridge": 0.5,
+                            "e0": "e1", "e1": "e0"}),
+    "align stats": (["stats"], {"input": "{a}", "model": "{model}",
+                                "threshold": 0.01, "e0": "e1", "e1": "e0"}),
+}
+
+
+@pytest.mark.parametrize("run_name", list(EQUIVALENT_RUNS))
+def test_flags_and_config_file_give_the_same_bytes(run_name, capsys, tmp_path):
+    command = run_name.split()[0]
+    positionals, settings = EQUIVALENT_RUNS[run_name]
+    mol = tmp_path / "water.mol"
+    mol.write_text(WATER_MOLFILE, encoding="utf-8")
+    paths = {
+        "a": write(tmp_path, "a.jsonl", METHANE, ETHANE, WATER),
+        "b": write(tmp_path, "b.jsonl", ETHANE, BENZOIC),
+        "mol": str(mol),
+        "codes": write(tmp_path, "codes.txt", "O02", "O11[C13]"),
+        "orbs": write(tmp_path, "orbs.jsonl",
+                      '{"atom":"a1","occ":2.0,"energy":-1.0,"group":"g"}'),
+        "refs": write(tmp_path, "refs.jsonl", '{"element":"C","energy":-37.8}',
+                      '{"element":"H","energy":-0.5}',
+                      '{"element":"O","energy":-75.0}'),
+        "model": str(tmp_path / "model.txt"),
+    }
+    assert main(["align", "fit", "--input", paths["a"],
+                 "--out", paths["model"]]) == 0
+    settings = {k: v.format(**paths) if isinstance(v, str) else v
+                for k, v in settings.items()}
+    positionals = [p.format(**paths) for p in positionals]
+    flags = {a.dest: a.option_strings[0] for c, a in _options() if c == command}
+    argv = []
+    for name, value in settings.items():
+        argv += [flags[name]] if value is True else [flags[name], str(value)]
+    by_flags, by_config = tmp_path / "flags.out", tmp_path / "config.out"
+    cfg = write(tmp_path, "cfg.json", json.dumps(settings))
+    assert main([command, *positionals, *argv, "--out", str(by_flags)]) == 0
+    assert main([command, *positionals, "--config", cfg,
+                 "--out", str(by_config)]) == 0
+    assert by_flags.read_bytes() == by_config.read_bytes()
+    capsys.readouterr()
+
+
+def test_config_keys_of_no_option_are_ignored(capsys, tmp_path):
+    # cutset has no --mode: a shared file's mode no longer shows in its header.
+    data = write(tmp_path, "in.jsonl", BENZOIC)
+    cfg = write(tmp_path, "cfg.json", json.dumps(
+        {"mode": "element-order", "bins": "abc", "help": 3, "inputs": 1}
+    ))
+    expected = run(capsys, "cutset", "--input", data)
+    assert '"mode": "skeleton"' in expected[1]
+    assert run(capsys, "cutset", "--input", data, "--config", cfg) == expected
+
+
+def test_pool_is_no_larger_than_the_records_or_the_cores(
+    monkeypatch, capsys, tmp_path
+):
+    sizes = []
+
+    class StandInPool:
+        """Records its size and maps in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(cli, "Pool", StandInPool)
+    data = write(tmp_path, "in.jsonl", METHANE, ETHANE, WATER)
+    expected = run(capsys, "encode", "--input", data)
+    for cores in (64, 2, None):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        assert run(capsys, "encode", "--input", data, "--workers", "64") == expected
+    assert sizes == [3, 2]
 
 
 def test_integer_settings_accept_integral_values(capsys, tmp_path):
@@ -357,6 +555,26 @@ def test_bind_energy(capsys, tmp_path):
     rows = body_lines(out)
     assert rows[0] == "id\te_bind"
     assert float(rows[1].split("\t")[1]) == pytest.approx(-0.5)
+
+
+@pytest.mark.parametrize("argv, file, line, message", [
+    (["bind-energy", "--input", "{a}", "--refs"], "refs.jsonl",
+     '{"element":"C","energy":"abc"}',
+     "reference line 1: energy is not a number: 'abc'"),
+    (["bind-energy", "--input", "{a}", "--refs"], "refs.jsonl",
+     '{"element":"C","energy":null}',
+     "reference line 1: energy is not a number: None"),
+    (["egcn0", "--orbitals"], "orbs.jsonl",
+     '{"atom":"a1","occ":"nan","energy":-1.0}',
+     "orbital line 1: occ is not finite: 'nan'"),
+], ids=["refs-text", "refs-null", "orbitals-nan"])
+def test_unusable_loader_value_is_parse_error(
+    argv, file, line, message, capsys, tmp_path
+):
+    paths = {"a": write(tmp_path, "a.jsonl", METHANE)}
+    argv = [arg.format(**paths) for arg in argv] + [write(tmp_path, file, line)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: ParseError: {message}\n")
 
 
 def test_bind_energy_missing_reference_is_data_error(capsys, tmp_path):

@@ -253,3 +253,12 @@ def test_structure_complement_flags_unseen_types():
     with pytest.raises(InvalidArgument):
         structure_complement(train, eval_t, "gcn0")
 
+
+def test_structure_complement_refuses_a_negative_na_cap():
+    train = make_table("train", [METHANE])
+    eval_t = make_table("eval", [WATER])
+    assert structure_complement(train, eval_t, "gcn1", na_cap=0) == set()
+    assert structure_complement(train, eval_t, "gcn1", na_cap=1) == {"water"}
+    with pytest.raises(InvalidArgument, match="na_cap must be non-negative"):
+        structure_complement(train, eval_t, "gcn1", na_cap=-5)
+

@@ -102,3 +102,29 @@ def test_reference_loader():
     assert refs == {"C": -37.8, "H": -0.5}
     with pytest.raises(ParseError):
         load_reference_lines(['{"element":"C"}'])
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"element":"C","energy":"abc"}', "energy is not a number: 'abc'"),
+    ('{"element":"C","energy":null}', "energy is not a number: None"),
+    ('{"element":"C","energy":[1]}', "energy is not a number: [1]"),
+    ('{"element":"C","energy":"nan"}', "energy is not finite: 'nan'"),
+    ('{"element":"C","energy":1e999}', "energy is not finite: inf"),
+], ids=["text", "null", "list", "nan", "overflow"])
+def test_reference_loader_refuses_non_finite_energies(line, message):
+    with pytest.raises(ParseError) as exc:
+        load_reference_lines(['{"element":"H","energy":-0.5}', line])
+    assert str(exc.value) == f"reference line 2: {message}"
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"atom":"a","occ":"nan","energy":-1.0}', "occ is not finite: 'nan'"),
+    ('{"atom":"a","occ":2.0,"energy":"-inf"}', "energy is not finite: '-inf'"),
+    ('{"atom":"a","occ":1e999,"energy":-1.0}', "occ is not finite: inf"),
+    ('{"atom":"a","occ":"two","energy":-1.0}', "occ is not a number: 'two'"),
+    ('{"atom":"a","occ":2.0,"energy":null}', "energy is not a number: None"),
+], ids=["occ-nan", "energy-minus-inf", "occ-overflow", "occ-text", "energy-null"])
+def test_orbital_loader_refuses_non_finite_fields(line, message):
+    with pytest.raises(ParseError) as exc:
+        load_orbital_lines(["# header", line])
+    assert str(exc.value) == f"orbital line 2: {message}"

@@ -16,7 +16,6 @@ from molspace.nbg import (
     MODE_SKELETON_NO_ORDER,
     canonical_signature,
     cut_decomposition,
-    decode_signature,
     nbg0_extract,
     nbg0_generate,
     nbg_plus_class,
@@ -33,6 +32,7 @@ from conftest import (
     brute_isomorphic,
     build,
     cyclohexane,
+    decode_signature,
     ethane,
     hexa_tert_butyl_ethane,
     k33_graph,
