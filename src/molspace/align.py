@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from math import sqrt
 from typing import Iterable, Mapping
 
-from .coverage import DatasetTable, record_type_counts
+from .coverage import DatasetRecord, DatasetTable, record_type_counts
 from .errors import (
     InvalidArgument,
     MissingProperty,
@@ -60,7 +60,6 @@ class ResidualStats:
     mae: float
     rmsd: float
     outliers: int
-    threshold: float
 
 
 def build_features(
@@ -69,33 +68,39 @@ def build_features(
     mode: str,
     target_prop: str | None = None,
 ) -> list[tuple[FeatureVector, float | None]]:
-    """Feature/target pairs for every record of a table.
+    """Feature/target pairs for every record of a table (record_features)."""
+    return [
+        record_features(record, e0_prop, mode, target_prop)
+        for record in table.records
+    ]
 
-    Raises MissingProperty when a record lacks the source property (or the
-    target property, when one is requested).
+
+def record_features(
+    record: DatasetRecord,
+    e0_prop: str,
+    mode: str,
+    target_prop: str | None = None,
+) -> tuple[FeatureVector, float | None]:
+    """The feature/target pair of one record.
+
+    Raises MissingProperty, carrying the record id, when the record lacks
+    the source property (or the target property, when one is requested).
     """
     if mode not in MODES:
         raise InvalidArgument(f"mode must be one of {MODES}, got {mode!r}")
-    out: list[tuple[FeatureVector, float | None]] = []
-    for record in table.records:
-        if e0_prop not in record.properties:
-            raise MissingProperty(f"record {record.id!r} lacks {e0_prop!r}")
-        e0 = record.properties[e0_prop]
-        if mode == "plain":
-            counts: dict[str, int] = {}
-        elif mode == "composition":
-            counts = record.graph.composition()
-        else:
-            counts = dict(record_type_counts(record, "gcn1"))
-        target: float | None = None
-        if target_prop is not None:
-            if target_prop not in record.properties:
-                raise MissingProperty(
-                    f"record {record.id!r} lacks {target_prop!r}"
-                )
-            target = record.properties[target_prop]
-        out.append((FeatureVector(e0=e0, counts=counts), target))
-    return out
+    for prop in (e0_prop, target_prop):
+        if prop is not None and prop not in record.properties:
+            exc = MissingProperty(f"record lacks property {prop!r}")
+            exc.record_id = record.id
+            raise exc
+    if mode == "plain":
+        counts: dict[str, int] = {}
+    elif mode == "composition":
+        counts = record.graph.composition()
+    else:
+        counts = dict(record_type_counts(record, "gcn1"))
+    target = None if target_prop is None else record.properties[target_prop]
+    return FeatureVector(e0=record.properties[e0_prop], counts=counts), target
 
 
 def _canonical_pairs(
@@ -218,7 +223,6 @@ def residual_stats(
         mae=abs_sum / n,
         rmsd=sqrt(sq_sum / n),
         outliers=outliers,
-        threshold=threshold,
     )
 
 
@@ -243,24 +247,25 @@ def save_model(model: AlignmentModel) -> str:
 
 
 def load_model(text: str) -> AlignmentModel:
-    """Inverse of save_model."""
+    """Inverse of save_model; ParseError on malformed text or an unknown
+    feature mode."""
     fields: dict[str, str] = {}
     coefficients: dict[str, float] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if parts[0] == "coef":
-            if len(parts) != 3:
-                raise ParseError(f"malformed coefficient line: {line!r}")
-            coefficients[parts[1]] = float(parts[2])
-        elif len(parts) == 2:
-            fields[parts[0]] = parts[1]
-        else:
-            raise ParseError(f"malformed model line: {line!r}")
     try:
-        return AlignmentModel(
+        for raw in text.splitlines():
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if parts[0] == "coef":
+                if len(parts) != 3:
+                    raise ParseError(f"malformed coefficient line: {line!r}")
+                coefficients[parts[1]] = float(parts[2])
+            elif len(parts) == 2:
+                fields[parts[0]] = parts[1]
+            else:
+                raise ParseError(f"malformed model line: {line!r}")
+        model = AlignmentModel(
             mode=fields["mode"],
             c0=float(fields["c0"]),
             coefficients=coefficients,
@@ -272,3 +277,8 @@ def load_model(text: str) -> AlignmentModel:
         )
     except KeyError as exc:
         raise ParseError(f"model text missing field {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"malformed model value: {exc}") from exc
+    if model.mode not in MODES:
+        raise ParseError(f"model mode must be one of {MODES}, got {model.mode!r}")
+    return model

@@ -35,7 +35,13 @@ from .descriptors import (
     load_orbital_lines,
     load_reference_lines,
 )
-from .errors import InvalidArgument, MissingProperty, MolspaceError, ParseError
+from .errors import (
+    InvalidArgument,
+    MissingProperty,
+    MolspaceError,
+    ParseError,
+    UnseenFeature,
+)
 from .molgraph import parse_molfile
 
 @dataclass(frozen=True)
@@ -120,7 +126,6 @@ def _encode_record(rec: cov.DatasetRecord, mode: str) -> str:
     g = rec.graph
     gcn0, gcn1, gcn2 = gcn.atom_codes(g)
     cd = nbg.cut_decomposition(g)
-    cls = nbg.nbg_plus_class(cd)
     cores = nbg.nbg0_extract(g, cd.bridges)
     sc = nbg.scaffold(g)
     obj = {
@@ -130,10 +135,10 @@ def _encode_record(rec: cov.DatasetRecord, mode: str) -> str:
         "gcn1": gcn1,
         "gcn2": gcn2,
         "gcn2_level": gcn.gcn2_level(g),
-        "cut_vertices": cls.cut_vertex_count,
-        "bridges": cls.bridge_count,
-        "nbg_level": cls.level,
-        "within_plus": cls.within_plus,
+        "cut_vertices": len(cd.cut_vertices),
+        "bridges": len(cd.bridges),
+        "nbg_level": cd.level,
+        "within_plus": cd.within_plus,
         "nbg0": sorted(nbg.topology_of(*core, mode) for core in cores),
         "scaffold": nbg.topology_of(*sc, mode) if sc is not None else None,
     }
@@ -141,10 +146,10 @@ def _encode_record(rec: cov.DatasetRecord, mode: str) -> str:
 
 
 def _cutset_record(rec: cov.DatasetRecord, mode: str) -> str:
-    cls = nbg.nbg_plus_class(nbg.cut_decomposition(rec.graph))
+    cd = nbg.cut_decomposition(rec.graph)
     return (
-        f"{rec.id}\tvc={cls.cut_vertex_count} ec={cls.bridge_count} "
-        f"level={cls.level}"
+        f"{rec.id}\tvc={len(cd.cut_vertices)} ec={len(cd.bridges)} "
+        f"level={cd.level}"
     )
 
 
@@ -219,9 +224,9 @@ def cmd_count_gcn2(args: argparse.Namespace) -> int:
 
 
 def cmd_generate_nbg0(args: argparse.Namespace) -> int:
-    header = {"generator": "nbg0", "max_heavy": args.max_heavy, "mode": "skeleton"}
-    text = nbg.serialize_topologies(nbg.nbg0_generate(args.max_heavy), header)
-    return _finish(args, text.splitlines(), [])
+    lines = [f"# generator=nbg0 max_heavy={args.max_heavy} mode=skeleton"]
+    lines.extend(sorted(nbg.nbg0_generate(args.max_heavy)))
+    return _finish(args, lines, [])
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +245,7 @@ def _ingest_path(path: str, name: str | None = None) -> tuple[
 
 def cmd_coverage(args: argparse.Namespace) -> int:
     table, rejects, source = _ingest_path(args.input, args.name)
-    report = cov.coverage_report(table).to_dict()
+    report = cov.coverage_report(table)
     lines = header_lines(
         "coverage", {"format": args.format, "name": table.name}, [source]
     )
@@ -264,18 +269,18 @@ def _multi_ingest(
     args: argparse.Namespace,
 ) -> tuple[list[cov.DatasetTable], list[cov.RejectEntry], list[InputText]]:
     paths = args.inputs
-    if args.names:
+    if args.names is not None:
         names = [n.strip() for n in args.names.split(",")]
         if len(names) != len(paths):
             raise InvalidArgument(
                 f"--names lists {len(names)} names for {len(paths)} inputs"
             )
+        fault = "--names must list distinct, non-empty names"
     else:
         names = [Path(p).stem if p != "-" else "stdin" for p in paths]
-        if len(set(names)) != len(names):
-            raise InvalidArgument(
-                "input basenames collide; pass --names to disambiguate"
-            )
+        fault = "input basenames collide; pass --names to disambiguate"
+    if not all(names) or len(set(names)) != len(names):
+        raise InvalidArgument(fault)
     tables: list[cov.DatasetTable] = []
     rejects: list[cov.RejectEntry] = []
     sources: list[InputText] = []
@@ -301,12 +306,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_kl(args: argparse.Namespace) -> int:
     tables, rejects, sources = _multi_ingest(args)
-    km = cov.kl_matrix(tables, args.feature, args.epsilon, args.mode)
+    matrix = cov.kl_matrix(tables, args.feature, args.epsilon, args.mode)
     echo = {"feature": args.feature, "mode": args.mode, "epsilon": args.epsilon}
     lines = header_lines("kl", echo, sources)
-    lines.append("name\t" + "\t".join(km.names))
-    for row_name, row in zip(km.names, km.matrix):
-        lines.append(row_name + "\t" + "\t".join(repr(v) for v in row))
+    lines.append("name\t" + "\t".join(t.name for t in tables))
+    for t, row in zip(tables, matrix):
+        lines.append(t.name + "\t" + "\t".join(repr(v) for v in row))
     return _finish(args, lines, rejects)
 
 
@@ -412,8 +417,28 @@ def cmd_align(args: argparse.Namespace) -> int:
     e0_prop, e1_prop = args.e0, args.e1
     table, rejects, source = _ingest_path(args.input)
 
+    def kept(
+        mode: str, target_prop: str | None, model: align_mod.AlignmentModel | None
+    ) -> list[tuple[cov.DatasetRecord, tuple[align_mod.FeatureVector, Any]]]:
+        """(record, feature/target pair) of each record that has the
+        properties and, against a model, no feature the model lacks; every
+        other record becomes a reject entry."""
+        out = []
+        for record in table.records:
+            try:
+                pair = align_mod.record_features(record, e0_prop, mode, target_prop)
+                if model is not None:
+                    align_mod.apply(model, pair[0])
+            except (MissingProperty, UnseenFeature) as exc:
+                rejects.append(
+                    cov.RejectEntry(record.line_no, record.id, cov.reject_reason(exc))
+                )
+                continue
+            out.append((record, pair))
+        return out
+
     if action == "fit":
-        pairs = align_mod.build_features(table, e0_prop, args.mode, e1_prop)
+        pairs = [pair for _, pair in kept(args.mode, e1_prop, None)]
         model = align_mod.fit(pairs, ridge=args.ridge, mode=args.mode)
         lines = header_lines(
             "align fit",
@@ -425,16 +450,15 @@ def cmd_align(args: argparse.Namespace) -> int:
         model_source = read_input(args.model)
         model = align_mod.load_model(model_source.text)
         if action == "apply":
-            pairs = align_mod.build_features(table, e0_prop, model.mode)
             lines = header_lines(
                 "align apply", {"e0": e0_prop, "mode": model.mode},
                 [source, model_source],
             )
             lines.append("id\taligned")
-            for record, (fv, _) in zip(table.records, pairs):
+            for record, (fv, _) in kept(model.mode, None, model):
                 lines.append(f"{record.id}\t{align_mod.apply(model, fv)!r}")
         else:  # stats
-            pairs = align_mod.build_features(table, e0_prop, model.mode, e1_prop)
+            pairs = [pair for _, pair in kept(model.mode, e1_prop, model)]
             stats = align_mod.residual_stats(model, pairs, args.threshold)
             lines = header_lines(
                 "align stats",

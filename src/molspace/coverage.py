@@ -214,46 +214,15 @@ def type_set(
     return set(_table_type_counts(t, feature, mode))
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    name: str
-    molecule_count: int
-    conformation_count: int
-    gcn0_types: int
-    gcn1_types: int
-    gcn2_types: int
-    nbg0_types: dict[str, int]
-    scaffold_types: int
-    nbg_plus_levels: dict[int, int]
-    na_histogram: dict[int, int]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "molecule_count": self.molecule_count,
-            "conformation_count": self.conformation_count,
-            "gcn0_types": self.gcn0_types,
-            "gcn1_types": self.gcn1_types,
-            "gcn2_types": self.gcn2_types,
-            "nbg0_types": {k: self.nbg0_types[k] for k in sorted(self.nbg0_types)},
-            "scaffold_types": self.scaffold_types,
-            "nbg_plus_levels": {
-                str(k): self.nbg_plus_levels[k]
-                for k in sorted(self.nbg_plus_levels)
-            },
-            "na_histogram": {
-                str(k): self.na_histogram[k] for k in sorted(self.na_histogram)
-            },
-        }
-
-
-def coverage_report(t: DatasetTable) -> CoverageReport:
-    """Inventory counts across both representation axes.
+def coverage_report(t: DatasetTable) -> dict[str, Any]:
+    """Inventory counts across both representation axes, in output order.
 
     Topology core counts are reported for all three label modes side by
-    side; the scaffold axis uses the default mode (carbon skeleton with
-    bond orders retained). Each record's features are computed once, in
-    one pass, and only the type sets are kept.
+    side, in sorted mode order; the scaffold axis uses the default mode
+    (carbon skeleton with bond orders retained). Cut-set levels and heavy
+    atom counts are keyed by their decimal strings, in numeric order. Each
+    record's features are computed once, in one pass, and only the type
+    sets are kept.
     """
     na_hist: Counter = Counter()
     plus_levels: Counter = Counter()
@@ -266,25 +235,25 @@ def coverage_report(t: DatasetTable) -> CoverageReport:
             seen.update(level_codes)
         cd = nbg.cut_decomposition(g)
         na_hist[g.na] += 1
-        plus_levels[nbg.nbg_plus_class(cd).level] += 1
+        plus_levels[cd.level] += 1
         extracted = nbg.nbg0_extract(g, cd.bridges)
         for mode in nbg.MODES:
             cores[mode].update(nbg.topology_of(*core, mode) for core in extracted)
         sc = nbg.scaffold(g)
         if sc is not None:
             scaffolds.add(nbg.topology_of(*sc))
-    return CoverageReport(
-        name=t.name,
-        molecule_count=len({r.mol for r in t.records}),
-        conformation_count=len(t.records),
-        gcn0_types=len(codes[0]),
-        gcn1_types=len(codes[1]),
-        gcn2_types=len(codes[2]),
-        nbg0_types={mode: len(cores[mode]) for mode in nbg.MODES},
-        scaffold_types=len(scaffolds),
-        nbg_plus_levels=dict(plus_levels),
-        na_histogram=dict(na_hist),
-    )
+    return {
+        "name": t.name,
+        "molecule_count": len({r.mol for r in t.records}),
+        "conformation_count": len(t.records),
+        "gcn0_types": len(codes[0]),
+        "gcn1_types": len(codes[1]),
+        "gcn2_types": len(codes[2]),
+        "nbg0_types": {mode: len(cores[mode]) for mode in sorted(nbg.MODES)},
+        "scaffold_types": len(scaffolds),
+        "nbg_plus_levels": {str(k): plus_levels[k] for k in sorted(plus_levels)},
+        "na_histogram": {str(k): na_hist[k] for k in sorted(na_hist)},
+    }
 
 
 def overlap_report(
@@ -321,28 +290,19 @@ def overlap_report(
     return regions
 
 
-@dataclass(frozen=True)
-class KlMatrix:
-    """Pairwise divergences; entry [row q][col p] is D_KL(P || Q) in nats."""
-
-    names: tuple[str, ...]
-    feature: str
-    epsilon: float
-    matrix: tuple[tuple[float, ...], ...]
-
-
 def kl_matrix(
     tables: list[DatasetTable],
     feature: str,
     epsilon: float = 1e-9,
     mode: str = nbg.DEFAULT_MODE,
-) -> KlMatrix:
+) -> list[list[float]]:
     """Smoothed Kullback-Leibler divergence between type distributions.
 
     Each table's type occurrence counts are smoothed additively by epsilon
-    over the union support and renormalized; rows index the reference
-    distribution Q. A table with no type occurrences raises
-    EmptyDistribution.
+    over the union support and renormalized. Rows and columns follow the
+    order of the tables; entry [row q][col p] is D_KL(P || Q) in nats, so
+    rows index the reference distribution Q. A table with no type
+    occurrences raises EmptyDistribution.
     """
     if not 0 < epsilon < math.inf:
         raise InvalidArgument(
@@ -365,21 +325,10 @@ def kl_matrix(
         total = sum(c.values()) + epsilon * s
         dists.append([(c.get(x, 0) + epsilon) / total for x in support])
 
-    n = len(tables)
-    matrix: list[tuple[float, ...]] = []
-    for r in range(n):
-        q = dists[r]
-        row = []
-        for cidx in range(n):
-            p = dists[cidx]
-            row.append(sum(pi * math.log(pi / qi) for pi, qi in zip(p, q) if pi > 0))
-        matrix.append(tuple(row))
-    return KlMatrix(
-        names=tuple(t.name for t in tables),
-        feature=feature,
-        epsilon=epsilon,
-        matrix=tuple(matrix),
-    )
+    return [
+        [sum(pi * math.log(pi / qi) for pi, qi in zip(p, q) if pi > 0) for p in dists]
+        for q in dists
+    ]
 
 
 @dataclass(frozen=True)
@@ -387,7 +336,6 @@ class Histogram:
     """Fixed-edge histogram; entries are (low, high, count) with low
     inclusive and high exclusive except for the final width-mode bin."""
 
-    property: str
     kind: str
     entries: tuple[tuple[float, float, int], ...]
     used: int
@@ -422,15 +370,12 @@ def histogram(t: DatasetTable, prop: str, bins: int | str = "unit") -> Histogram
             (float(k), float(k + 1), c[k]) for k in sorted(c)
         )
         return Histogram(
-            property=prop, kind="unit", entries=entries,
-            used=len(values), skipped=skipped,
+            kind="unit", entries=entries, used=len(values), skipped=skipped
         )
     if not isinstance(bins, int) or bins < 1:
         raise InvalidArgument("bins must be 'unit' or a positive integer")
     if not values:
-        return Histogram(
-            property=prop, kind="width", entries=(), used=0, skipped=skipped
-        )
+        return Histogram(kind="width", entries=(), used=0, skipped=skipped)
     lo, hi = min(values), max(values)
     if hi == lo:
         hi = lo + 1.0
@@ -443,8 +388,7 @@ def histogram(t: DatasetTable, prop: str, bins: int | str = "unit") -> Histogram
         (lo + i * width, lo + (i + 1) * width, counts[i]) for i in range(bins)
     )
     return Histogram(
-        property=prop, kind="width", entries=entries,
-        used=len(values), skipped=skipped,
+        kind="width", entries=entries, used=len(values), skipped=skipped
     )
 
 
@@ -462,7 +406,7 @@ def expansion_subsets(
     out: set[str] = set()
     for record in t.records:
         g = record.graph
-        nlevel = nbg.nbg_plus_class(nbg.cut_decomposition(g)).level
+        nlevel = nbg.cut_decomposition(g).level
         if gcn.gcn2_level(g) <= gcn2_max and nlevel <= nbg_max:
             out.add(record.id)
     return out

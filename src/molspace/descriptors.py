@@ -132,9 +132,11 @@ def load_reference_lines(lines: Iterable[str]) -> dict[str, float]:
 
 def _finite(obj: Mapping[str, Any], key: str, where: str) -> float:
     """A loader's numeric field as a float; ParseError unless it is a
-    finite number, as for record properties."""
+    finite number, as for record properties. A bool is no number."""
     value = obj[key]
     try:
+        if isinstance(value, bool):
+            raise ValueError
         number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{where}: {key} is not a number: {value!r}") from None

@@ -56,15 +56,20 @@ class CutDecomposition:
     cut_vertices: frozenset[int]
     bridges: frozenset[tuple[int, int]]
 
+    @property
+    def level(self) -> int:
+        """The cut-set level, max(cut vertices, bridges).
 
-@dataclass(frozen=True)
-class NbgPlusClass:
-    """Cut-set classification of a molecule."""
+        The definition is applied uniformly, so acyclic molecules land at
+        level >= 1 as soon as they have any bridge.
+        """
+        return max(len(self.cut_vertices), len(self.bridges))
 
-    cut_vertex_count: int
-    bridge_count: int
-    level: int
-    within_plus: bool
+    @property
+    def within_plus(self) -> bool:
+        """Whether the molecule sits inside the extended topology space:
+        at most 3 cut vertices and at most 3 bridges."""
+        return len(self.cut_vertices) <= 3 and len(self.bridges) <= 3
 
 
 def cut_decomposition(g: HeavyGraph) -> CutDecomposition:
@@ -119,24 +124,6 @@ def cut_decomposition(g: HeavyGraph) -> CutDecomposition:
 
     return CutDecomposition(
         cut_vertices=frozenset(cuts), bridges=frozenset(bridges)
-    )
-
-
-def nbg_plus_class(cd: CutDecomposition) -> NbgPlusClass:
-    """Classify a molecule by the cut-set sizes of its decomposition.
-
-    level = max(cut vertices, bridges); the molecule sits inside the
-    extended topology space when both counts are at most 3. The definition
-    is applied uniformly, so acyclic molecules land at level >= 1 as soon
-    as they have any bridge.
-    """
-    vc = len(cd.cut_vertices)
-    ec = len(cd.bridges)
-    return NbgPlusClass(
-        cut_vertex_count=vc,
-        bridge_count=ec,
-        level=max(vc, ec),
-        within_plus=(vc <= 3 and ec <= 3),
     )
 
 
@@ -515,7 +502,7 @@ def nbg0_generate(max_heavy: int) -> set[str]:
     by canonical signature. The closure is incomplete: with no chord step
     it misses 21 of the 85 reference cores at max_heavy 8, among them
     tetrahedrane, prismane and cubane (ROADMAP item 2). Returns the
-    signatures; callers serialize the set sorted.
+    signatures; callers write the set sorted.
     """
     if not MIN_GENERATE_HEAVY <= max_heavy <= MAX_GENERATE_HEAVY:
         raise InvalidArgument(
@@ -541,14 +528,3 @@ def nbg0_generate(max_heavy: int) -> set[str]:
         frontier = next_frontier
     return seen
 
-
-def serialize_topologies(
-    signatures: Iterable[str], header_fields: dict[str, object] | None = None
-) -> str:
-    """One signature per line, sorted, preceded by '#' header lines."""
-    lines: list[str] = []
-    if header_fields:
-        pairs = " ".join(f"{k}={header_fields[k]}" for k in header_fields)
-        lines.append(f"# {pairs}")
-    lines.extend(sorted(signatures))
-    return "\n".join(lines) + "\n"

@@ -3,9 +3,21 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+from pathlib import Path
 
+import molspace
 from molspace.molgraph import DEFAULT_VALENCE, HeavyGraph, heavy_graph, parse_record_obj
+
+
+def child_env(**overrides):
+    """Environment for a child interpreter that imports this checkout's
+    molspace: the source directory leads its PYTHONPATH."""
+    env = dict(os.environ, **overrides)
+    src = str(Path(molspace.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def record(rec_id, elements, bonds, h="auto", props=None, mol=None):

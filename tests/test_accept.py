@@ -257,7 +257,7 @@ def test_coverage_decomposes_each_record_once(count_per_record_calls):
     table, rejects = ingest(RING_RECORDS, "t")
     assert rejects == []
     report = coverage_report(table)
-    assert report.nbg0_types == {
+    assert report["nbg0_types"] == {
         "element-order": 2, "skeleton": 2, "skeleton-no-order": 2}
     assert count_per_record_calls == once_each(RING_RECORDS)
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -247,7 +248,6 @@ def test_residual_stats_worked_examples():
     ]
     stats = residual_stats(ident, wild)
     assert stats.outliers == 1
-    assert stats.threshold == 30.0
 
 
 def test_model_round_trips_through_text():
@@ -266,6 +266,14 @@ def test_model_round_trips_through_text():
         load_model("mode\tplain\n")
     with pytest.raises(ParseError):
         load_model("# nothing\nridge\tnot_a_number\n")
+    # A malformed number or an unknown mode in a complete model text.
+    for field, bad in (("c0", "abc"), ("n_records", "1.5"), ("mode", "magic")):
+        broken = re.sub(rf"^{field}\t.*$", f"{field}\t{bad}", text, flags=re.M)
+        assert broken != text
+        with pytest.raises(ParseError):
+            load_model(broken)
+    with pytest.raises(ParseError):
+        load_model(text + "coef\tC\tabc\n")
 
 
 def test_fit_input_validation():

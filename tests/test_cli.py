@@ -3,7 +3,6 @@
 import argparse
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -11,11 +10,10 @@ from pathlib import Path
 
 import pytest
 
-import molspace
 from molspace import cli
 from molspace.cli import build_parser, main
 
-from conftest import WATER_MOLFILE, record_line
+from conftest import WATER_MOLFILE, child_env, record_line
 
 BENZOIC = record_line(
     "benzoic",
@@ -486,6 +484,24 @@ def test_compare_duplicate_basenames_need_names(capsys, tmp_path):
     assert any(ln.startswith("x&y\t") or ln.startswith("x\t") for ln in body_lines(out))
 
 
+@pytest.mark.parametrize("command", ["kl", "compare"])
+@pytest.mark.parametrize("names, files", [
+    ("x,x", ("a", "b")),
+    (",y", ("a", "b")),
+    (",", ("a", "a")),
+], ids=["duplicate", "empty-first", "both-empty"])
+def test_names_must_be_distinct_and_non_empty(
+    command, names, files, capsys, tmp_path
+):
+    paths = {"a": write(tmp_path, "a.jsonl", METHANE),
+             "b": write(tmp_path, "b.jsonl", WATER)}
+    code, out, err = run(
+        capsys, command, *(paths[f] for f in files), "--names", names
+    )
+    assert (code, out) == (2, "")
+    assert err == "usage error: --names must list distinct, non-empty names\n"
+
+
 def test_kl_matrix_output(capsys, tmp_path):
     a = write(tmp_path, "a.jsonl", METHANE)
     b = write(tmp_path, "b.jsonl", METHANE, WATER)
@@ -564,10 +580,20 @@ def test_bind_energy(capsys, tmp_path):
     (["bind-energy", "--input", "{a}", "--refs"], "refs.jsonl",
      '{"element":"C","energy":null}',
      "reference line 1: energy is not a number: None"),
+    (["bind-energy", "--input", "{a}", "--refs"], "refs.jsonl",
+     '{"element":"C","energy":false}',
+     "reference line 1: energy is not a number: False"),
     (["egcn0", "--orbitals"], "orbs.jsonl",
      '{"atom":"a1","occ":"nan","energy":-1.0}',
      "orbital line 1: occ is not finite: 'nan'"),
-], ids=["refs-text", "refs-null", "orbitals-nan"])
+    (["egcn0", "--orbitals"], "orbs.jsonl",
+     '{"atom":"a","occ":true,"energy":-1}',
+     "orbital line 1: occ is not a number: True"),
+    (["egcn0", "--orbitals"], "orbs.jsonl",
+     '{"atom":"a","occ":1,"energy":true}',
+     "orbital line 1: energy is not a number: True"),
+], ids=["refs-text", "refs-null", "refs-bool", "orbitals-nan", "orbitals-occ-bool",
+        "orbitals-energy-bool"])
 def test_unusable_loader_value_is_parse_error(
     argv, file, line, message, capsys, tmp_path
 ):
@@ -638,15 +664,67 @@ def test_align_cli_round_trip(capsys, tmp_path):
     assert stats["n"] == "3"
 
 
+def test_align_rejects_records_that_lack_a_property(capsys, tmp_path):
+    data = write(
+        tmp_path, "ds.jsonl", METHANE, ETHANE,
+        record_line("w", ["C"], [], props={"e0": -40.1}),
+        WATER,
+        record_line("v", ["O"], [], props={"e1": -76.1}),
+    )
+    lacks_e1 = "line 3 id=w MissingProperty: record lacks property 'e1'\n"
+    lacks_e0 = "line 5 id=v MissingProperty: record lacks property 'e0'\n"
+    model_path = str(tmp_path / "model.txt")
+    code, _, err = run(
+        capsys, "align", "fit", "--input", data, "--mode", "plain",
+        "--out", model_path,
+    )
+    assert (code, err) == (1, lacks_e1 + lacks_e0 + "2 record(s) rejected\n")
+    assert "n_records\t3\n" in Path(model_path).read_text()
+    code, out, err = run(
+        capsys, "align", "stats", "--input", data, "--model", model_path
+    )
+    assert (code, err) == (1, lacks_e1 + lacks_e0 + "2 record(s) rejected\n")
+    assert "n\t3" in body_lines(out)
+    code, out, err = run(
+        capsys, "align", "apply", "--input", data, "--model", model_path
+    )
+    assert (code, err) == (1, lacks_e0 + "1 record(s) rejected\n")
+    ids = [row.split("\t")[0] for row in body_lines(out)]
+    assert ids == ["id", "methane", "ethane", "w", "water"]
+
+
+def test_align_rejects_records_with_an_unseen_feature(capsys, tmp_path):
+    train = write(tmp_path, "train.jsonl", METHANE, ETHANE)
+    model_path = str(tmp_path / "model.txt")
+    code, _, _ = run(
+        capsys, "align", "fit", "--input", train, "--mode", "composition",
+        "--out", model_path,
+    )
+    assert code == 0
+    data = write(tmp_path, "ds.jsonl", METHANE, WATER, ETHANE)
+    unseen = (
+        "line 2 id=water UnseenFeature: feature 'O' not in the fitted model\n"
+        "1 record(s) rejected\n"
+    )
+    code, out, err = run(
+        capsys, "align", "apply", "--input", data, "--model", model_path
+    )
+    assert (code, err) == (1, unseen)
+    ids = [row.split("\t")[0] for row in body_lines(out)]
+    assert ids == ["id", "methane", "ethane"]
+    code, out, err = run(
+        capsys, "align", "stats", "--input", data, "--model", model_path
+    )
+    assert (code, err) == (1, unseen)
+    assert "n\t2" in body_lines(out)
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # Only `align fit` needs numpy; it imports it when it runs.
-    env = dict(os.environ)
-    src = str(Path(molspace.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, molspace.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=child_env(), check=True,
     )
     assert proc.stdout == "False\n"
 

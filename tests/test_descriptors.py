@@ -110,7 +110,8 @@ def test_reference_loader():
     ('{"element":"C","energy":[1]}', "energy is not a number: [1]"),
     ('{"element":"C","energy":"nan"}', "energy is not finite: 'nan'"),
     ('{"element":"C","energy":1e999}', "energy is not finite: inf"),
-], ids=["text", "null", "list", "nan", "overflow"])
+    ('{"element":"C","energy":true}', "energy is not a number: True"),
+], ids=["text", "null", "list", "nan", "overflow", "bool"])
 def test_reference_loader_refuses_non_finite_energies(line, message):
     with pytest.raises(ParseError) as exc:
         load_reference_lines(['{"element":"H","energy":-0.5}', line])
@@ -123,7 +124,10 @@ def test_reference_loader_refuses_non_finite_energies(line, message):
     ('{"atom":"a","occ":1e999,"energy":-1.0}', "occ is not finite: inf"),
     ('{"atom":"a","occ":"two","energy":-1.0}', "occ is not a number: 'two'"),
     ('{"atom":"a","occ":2.0,"energy":null}', "energy is not a number: None"),
-], ids=["occ-nan", "energy-minus-inf", "occ-overflow", "occ-text", "energy-null"])
+    ('{"atom":"a","occ":true,"energy":-1}', "occ is not a number: True"),
+    ('{"atom":"a","occ":1,"energy":false}', "energy is not a number: False"),
+], ids=["occ-nan", "energy-minus-inf", "occ-overflow", "occ-text", "energy-null",
+        "occ-bool", "energy-bool"])
 def test_orbital_loader_refuses_non_finite_fields(line, message):
     with pytest.raises(ParseError) as exc:
         load_orbital_lines(["# header", line])

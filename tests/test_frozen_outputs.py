@@ -47,6 +47,18 @@ FROZEN_SHA256 = {
         "6cfe30fb1cfacb39dbc7cf9ddb73e12325648cbe80405ceca8065fe8aa681080",
     "compare a.jsonl b.jsonl --feature nbg_plus --mode element-order":
         "02ea780d55a6e010e23107c51e767a878bffc696eb89e8cb410a0d1dd4f1476a",
+    # Computed by the code that still had the cut-set, coverage-report and
+    # divergence-matrix result types.
+    "cutset --input corpus.jsonl":
+        "dbd6088e8ff88e53e867699669cf568ddfba7429ada4568cd35387cd71012a55",
+    "coverage --input corpus.jsonl --format table":
+        "85fce3871acb45a26d443ca9c080347cccd8846d09327befcc6c9ebcf3f7a7d3",
+    "subset --input corpus.jsonl --gcn2-level 10 --nbg-level 3":
+        "1f4fc35568289fa2bcd78f6e39dd07bedf3a64b4f2da76e22f9d632b5045a9e8",
+    "hist --input corpus.jsonl --bins 5":
+        "5b8fdd0870bf7fb44beece6cf65da49c25a98376bcbe17b202039de77627b256",
+    "complement --train a.jsonl --eval b.jsonl --feature scaffold":
+        "8d340e03cf14164347a45d7df2d90bdad038431e293619727ef06e8f8e4d9531",
 }
 
 

@@ -18,9 +18,7 @@ from molspace.nbg import (
     cut_decomposition,
     nbg0_extract,
     nbg0_generate,
-    nbg_plus_class,
     scaffold,
-    serialize_topologies,
     topology_of,
 )
 
@@ -96,19 +94,19 @@ def test_cut_decomposition_agrees_with_removal_oracle(seed=23):
         assert got.bridges == frozenset(want_br)
 
 
-def test_nbg_plus_class_levels():
-    cls = nbg_plus_class(cut_decomposition(benzoic_acid()))
-    assert (cls.cut_vertex_count, cls.bridge_count, cls.level) == (2, 3, 3)
-    assert cls.within_plus
-    cls = nbg_plus_class(cut_decomposition(phenylethyl_pyridine()))
-    assert (cls.cut_vertex_count, cls.bridge_count, cls.level) == (3, 3, 3)
-    assert cls.within_plus
-    cls = nbg_plus_class(cut_decomposition(benzene()))
-    assert cls.level == 0
-    assert cls.within_plus
-    cls = nbg_plus_class(cut_decomposition(n_hexane()))
-    assert cls.level == 5
-    assert not cls.within_plus
+def test_cut_set_levels():
+    cd = cut_decomposition(benzoic_acid())
+    assert (len(cd.cut_vertices), len(cd.bridges), cd.level) == (2, 3, 3)
+    assert cd.within_plus
+    cd = cut_decomposition(phenylethyl_pyridine())
+    assert (len(cd.cut_vertices), len(cd.bridges), cd.level) == (3, 3, 3)
+    assert cd.within_plus
+    cd = cut_decomposition(benzene())
+    assert cd.level == 0
+    assert cd.within_plus
+    cd = cut_decomposition(n_hexane())
+    assert cd.level == 5
+    assert not cd.within_plus
 
 
 def test_signature_invariant_under_relabeling(seed=31):
@@ -322,10 +320,13 @@ def test_generator_outputs_are_bridgeless_and_valence_feasible():
         assert [topology_of(*core, MODE_ELEMENT_ORDER) for core in cores] == [sig]
 
 
-def test_generator_serialization_is_deterministic():
-    a = serialize_topologies(nbg0_generate(5), {"max_heavy": 5})
-    b = serialize_topologies(nbg0_generate(5), {"max_heavy": 5})
+def test_generator_serialization_is_deterministic(capsys):
+    outs = []
+    for _ in range(2):
+        assert main(["generate-nbg0", "--max-heavy", "5"]) == 0
+        outs.append(capsys.readouterr().out)
+    a, b = outs
     assert a == b
-    assert a.startswith("# max_heavy=5\n")
+    assert a.startswith("# generator=nbg0 max_heavy=5 mode=skeleton\n")
     body = [ln for ln in a.splitlines() if not ln.startswith("#")]
-    assert body == sorted(body)
+    assert body == sorted(nbg0_generate(5))
