@@ -39,6 +39,7 @@ from .errors import (
     InvalidArgument,
     MissingProperty,
     MolspaceError,
+    NoRecords,
     ParseError,
     UnseenFeature,
 )
@@ -81,12 +82,18 @@ def _finish(
     args: argparse.Namespace, lines: list[str], rejects: list[cov.RejectEntry]
 ) -> int:
     """Write the output lines, then the reject lines; return the exit code."""
-    text = "\n".join(lines) + "\n"
     if args.out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(f"{line}\n" for line in lines)
         sys.stdout.flush()
     else:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{line}\n" for line in lines)
+    return _write_rejects(args, rejects)
+
+
+def _write_rejects(args: argparse.Namespace, rejects: list[cov.RejectEntry]) -> int:
+    """Write one line per reject, to --rejects or stderr, then the count;
+    return the exit code."""
     if not rejects:
         return 0
     listing = "".join(
@@ -225,7 +232,7 @@ def cmd_count_gcn2(args: argparse.Namespace) -> int:
 
 def cmd_generate_nbg0(args: argparse.Namespace) -> int:
     lines = [f"# generator=nbg0 max_heavy={args.max_heavy} mode=skeleton"]
-    lines.extend(sorted(nbg.nbg0_generate(args.max_heavy)))
+    lines.extend(nbg.nbg0_generate(args.max_heavy))
     return _finish(args, lines, [])
 
 
@@ -437,8 +444,16 @@ def cmd_align(args: argparse.Namespace) -> int:
             out.append((record, pair))
         return out
 
+    def pairs_left(mode: str, model: align_mod.AlignmentModel | None) -> list:
+        """The kept pairs; with none left, the rejects, then an error."""
+        pairs = [pair for _, pair in kept(mode, e1_prop, model)]
+        if not pairs:
+            _write_rejects(args, rejects)
+            raise NoRecords(f"no record left to {action}")
+        return pairs
+
     if action == "fit":
-        pairs = [pair for _, pair in kept(args.mode, e1_prop, None)]
+        pairs = pairs_left(args.mode, None)
         model = align_mod.fit(pairs, ridge=args.ridge, mode=args.mode)
         lines = header_lines(
             "align fit",
@@ -458,8 +473,9 @@ def cmd_align(args: argparse.Namespace) -> int:
             for record, (fv, _) in kept(model.mode, None, model):
                 lines.append(f"{record.id}\t{align_mod.apply(model, fv)!r}")
         else:  # stats
-            pairs = [pair for _, pair in kept(model.mode, e1_prop, model)]
-            stats = align_mod.residual_stats(model, pairs, args.threshold)
+            stats = align_mod.residual_stats(
+                model, pairs_left(model.mode, model), args.threshold
+            )
             lines = header_lines(
                 "align stats",
                 {"e0": e0_prop, "e1": e1_prop, "threshold": args.threshold},

@@ -72,5 +72,9 @@ class RankDeficient(MolspaceError):
     """An unregularized least-squares system with singular normal matrix."""
 
 
+class NoRecords(MolspaceError):
+    """An operation that needs at least one record has none left."""
+
+
 class UnseenFeature(MolspaceError):
     """A feature key absent from a fitted model's coefficient table."""

@@ -236,7 +236,7 @@ def test_acceptance_07_topology_generator():
         for a, b, c in [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 1, 3)]
     }
     got = nbg0_generate(3)
-    assert got == oracle
+    assert set(got) == oracle
     assert len(got) == 5
 
     for sig in nbg0_generate(6):

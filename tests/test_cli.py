@@ -367,6 +367,12 @@ def test_generate_nbg0_bad_range_is_usage_error(capsys):
     assert "usage error" in err
 
 
+def test_generate_nbg0_one_above_the_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "generate-nbg0", "--max-heavy", "11")
+    assert (code, out) == (2, "")
+    assert err == "usage error: max_heavy must lie in [3, 10], got 11\n"
+
+
 def test_cutset_worked_example(capsys, tmp_path):
     data = write(tmp_path, "in.jsonl", BENZOIC)
     code, out, _ = run(capsys, "cutset", "--input", data)
@@ -691,6 +697,28 @@ def test_align_rejects_records_that_lack_a_property(capsys, tmp_path):
     assert (code, err) == (1, lacks_e0 + "1 record(s) rejected\n")
     ids = [row.split("\t")[0] for row in body_lines(out)]
     assert ids == ["id", "methane", "ethane", "w", "water"]
+
+
+def test_align_with_no_record_left_writes_rejects_then_an_error(capsys, tmp_path):
+    model_path = str(tmp_path / "model.txt")
+    code, _, _ = run(
+        capsys, "align", "fit", "--input", write(tmp_path, "t.jsonl", METHANE, ETHANE),
+        "--mode", "plain", "--out", model_path,
+    )
+    assert code == 0
+    data = write(tmp_path, "ds.jsonl", record_line("w", ["C"], [], props={"e0": -40.1}))
+    lacks_e1 = (
+        "line 1 id=w MissingProperty: record lacks property 'e1'\n"
+        "1 record(s) rejected\n"
+    )
+    for argv, action in [
+        (["--mode", "plain", "--out", str(tmp_path / "m2.txt")], "fit"),
+        (["--model", model_path], "stats"),
+    ]:
+        code, out, err = run(capsys, "align", action, "--input", data, *argv)
+        assert (code, out) == (1, "")
+        assert err == lacks_e1 + f"error: NoRecords: no record left to {action}\n"
+    assert not (tmp_path / "m2.txt").exists()
 
 
 def test_align_rejects_records_with_an_unseen_feature(capsys, tmp_path):
