@@ -43,7 +43,7 @@ from .errors import (
     ParseError,
     UnseenFeature,
 )
-from .molgraph import parse_molfile
+from .molgraph import load_json, parse_molfile
 
 @dataclass(frozen=True)
 class InputText:
@@ -53,7 +53,10 @@ class InputText:
 
 
 def read_input(path: str) -> InputText:
-    """Read a whole input ('-' is standard input) and hash its bytes."""
+    """Read a whole input ('-' is standard input) and hash its bytes.
+
+    An input that cannot be read, or is not UTF-8, is a ParseError.
+    """
     if path == "-":
         data = sys.stdin.buffer.read()
         name = "<stdin>"
@@ -63,9 +66,14 @@ def read_input(path: str) -> InputText:
         except OSError as exc:
             raise ParseError(f"cannot read {path}: {exc}") from exc
         name = path
-    return InputText(
-        name=name, text=data.decode("utf-8"), digest=hashlib.sha256(data).hexdigest()
-    )
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{name} is not valid UTF-8 "
+            f"(byte 0x{data[exc.start]:02x} at offset {exc.start})"
+        ) from None
+    return InputText(name=name, text=text, digest=hashlib.sha256(data).hexdigest())
 
 
 def header_lines(
@@ -100,7 +108,10 @@ def _write_rejects(args: argparse.Namespace, rejects: list[cov.RejectEntry]) -> 
         f"line {r.line_no} id={r.record_id or '?'} {r.reason}\n" for r in rejects
     )
     if args.rejects:
-        Path(args.rejects).write_text(listing, encoding="utf-8")
+        # An id with a lone surrogate is escaped, as stderr escapes it.
+        Path(args.rejects).write_text(
+            listing, encoding="utf-8", errors="backslashreplace"
+        )
     else:
         sys.stderr.write(listing)
     sys.stderr.write(f"{len(rejects)} record(s) rejected\n")
@@ -129,13 +140,26 @@ def _map_ordered(
 # ---------------------------------------------------------------------------
 
 
+# One encoder for every record line; json.dumps would build one per call.
+_ENCODE_JSON = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _encode_record(rec: cov.DatasetRecord, mode: str) -> str:
     g = rec.graph
     gcn0, gcn1, gcn2 = gcn.atom_codes(g)
     cd = nbg.cut_decomposition(g)
     cores = nbg.nbg0_extract(g, cd.bridges)
     sc = nbg.scaffold(g)
-    obj = {
+    core_sigs = [nbg.topology_of(*core, mode) for core in cores]
+    if sc is None:
+        scaffold_sig = None
+    elif sc == cores[0]:
+        # The scaffold is the molecule's only core, the same subgraph.
+        scaffold_sig = core_sigs[0]
+    else:
+        scaffold_sig = nbg.topology_of(*sc, mode)
+    core_sigs.sort()
+    return _ENCODE_JSON({
         "id": rec.id,
         "na": g.na,
         "gcn0": gcn0,
@@ -146,10 +170,9 @@ def _encode_record(rec: cov.DatasetRecord, mode: str) -> str:
         "bridges": len(cd.bridges),
         "nbg_level": cd.level,
         "within_plus": cd.within_plus,
-        "nbg0": sorted(nbg.topology_of(*core, mode) for core in cores),
-        "scaffold": nbg.topology_of(*sc, mode) if sc is not None else None,
-    }
-    return json.dumps(obj, separators=(",", ":"))
+        "nbg0": core_sigs,
+        "scaffold": scaffold_sig,
+    })
 
 
 def _cutset_record(rec: cov.DatasetRecord, mode: str) -> str:
@@ -688,8 +711,8 @@ def _install_config(parser: argparse.ArgumentParser, command: str, path: str) ->
     a key that names no option of the command is ignored, so one file can
     serve several commands."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        obj = load_json(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise InvalidArgument(f"cannot read config {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise InvalidArgument("config file must hold a single object")

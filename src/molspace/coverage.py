@@ -80,15 +80,16 @@ def accept_molecule(mol: MolGraph) -> DatasetRecord:
     validate, that has an atom environment outside the level-0 code
     table, or that has more heavy atoms than the exact canonical forms
     allow (nbg.MAX_SIGNATURE_VERTICES, TooLarge). So every accepted record
-    is encodable by every downstream operation.
+    is encodable by every downstream operation. The level-0 check is
+    gcn.level0_codes, table lookups that build no string; the codes are
+    not kept, since a table holds many records and few commands read them.
     """
     try:
         g = heavy_graph(mol)
         diags = validate(g)
         if diags:
             raise ParseError("; ".join(diags))
-        for i in range(g.na):
-            gcn.gcn0_of_atom(g, i)
+        gcn.level0_codes(g)
         if g.na > nbg.MAX_SIGNATURE_VERTICES:
             raise TooLarge(
                 f"record has {g.na} heavy atoms, above the cap of "
@@ -222,7 +223,8 @@ def coverage_report(t: DatasetTable) -> dict[str, Any]:
     (carbon skeleton with bond orders retained). Cut-set levels and heavy
     atom counts are keyed by their decimal strings, in numeric order. Each
     record's features are computed once, in one pass, and only the type
-    sets are kept.
+    sets are kept. A scaffold that is the molecule's only core, the same
+    subgraph, takes that core's default-mode signature.
     """
     na_hist: Counter = Counter()
     plus_levels: Counter = Counter()
@@ -237,11 +239,18 @@ def coverage_report(t: DatasetTable) -> dict[str, Any]:
         na_hist[g.na] += 1
         plus_levels[cd.level] += 1
         extracted = nbg.nbg0_extract(g, cd.bridges)
-        for mode in nbg.MODES:
-            cores[mode].update(nbg.topology_of(*core, mode) for core in extracted)
+        sigs = {
+            mode: [nbg.topology_of(*core, mode) for core in extracted]
+            for mode in nbg.MODES
+        }
+        for mode, mode_sigs in sigs.items():
+            cores[mode].update(mode_sigs)
         sc = nbg.scaffold(g)
         if sc is not None:
-            scaffolds.add(nbg.topology_of(*sc))
+            scaffolds.add(
+                sigs[nbg.DEFAULT_MODE][0] if sc == extracted[0]
+                else nbg.topology_of(*sc)
+            )
     return {
         "name": t.name,
         "molecule_count": len({r.mol for r in t.records}),

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from .errors import DegenerateWeights, InvalidArgument, MissingReference, ParseError
+from .molgraph import load_json
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ def load_orbital_lines(
         if not line or line.startswith("#"):
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+            obj = load_json(line)
+        except ValueError as exc:
             raise ParseError(f"orbital line {lineno}: {exc}") from exc
         if not isinstance(obj, dict) or "occ" not in obj or "energy" not in obj:
             raise ParseError(f"orbital line {lineno}: need 'occ' and 'energy'")
@@ -118,8 +118,8 @@ def load_reference_lines(lines: Iterable[str]) -> dict[str, float]:
         if not line or line.startswith("#"):
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+            obj = load_json(line)
+        except ValueError as exc:
             raise ParseError(f"reference line {lineno}: {exc}") from exc
         if not isinstance(obj, dict) or "element" not in obj or "energy" not in obj:
             raise ParseError(

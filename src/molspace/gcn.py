@@ -36,6 +36,9 @@ GCN0_TABLE: tuple[str, ...] = (
 
 _GCN0_SET = frozenset(GCN0_TABLE)
 
+# Each table code under its (element, heavy-neighbor count, hydrogen count).
+_GCN0_BY_KEY = {(c[0], int(c[1]), int(c[2])): c for c in GCN0_TABLE}
+
 GCN_ELEMENTS = ("C", "N", "O", "F")
 
 _CODE_RE = re.compile(r"^[CNOF][0-9][0-9]$")
@@ -65,14 +68,22 @@ def enumerate_gcn0(elements: Iterable[str] = GCN_ELEMENTS) -> list[str]:
     return [code for code in GCN0_TABLE if code[0] in subset]
 
 
-def gcn0_of_atom(g: HeavyGraph, i: int) -> str:
-    """Level-0 code of atom i; InvalidEnvironment when not in the table."""
-    code = f"{g.elements[i]}{len(g.neighbors[i])}{g.h_count[i]}"
-    if code not in _GCN0_SET:
+def level0_codes(g: HeavyGraph) -> list[str]:
+    """Level-0 code of every atom; InvalidEnvironment names the first atom
+    whose code is not in the table.
+
+    Each code is looked up in the table by its (element, heavy-neighbor
+    count, hydrogen count) key, so no string is built.
+    """
+    keys = zip(g.elements, map(len, g.neighbors), g.h_count)
+    codes = list(map(_GCN0_BY_KEY.get, keys))
+    if None in codes:
+        i = codes.index(None)
+        code = f"{g.elements[i]}{len(g.neighbors[i])}{g.h_count[i]}"
         raise InvalidEnvironment(
             f"atom {i + 1} has environment {code!r}, not an admissible code"
         )
-    return code
+    return codes  # type: ignore[return-value]
 
 
 def format_gcn1(center: str, neighbor_codes: Iterable[str]) -> str:
@@ -92,16 +103,24 @@ def format_gcn2(center: str, neighbor_gcn1: Iterable[str]) -> str:
 
 
 def atom_codes(g: HeavyGraph) -> tuple[list[str], list[str], list[str]]:
-    """All three code levels for every atom, sharing lower-level work."""
-    n = g.na
+    """All three code levels for every atom.
+
+    Level 0 comes from level0_codes (table lookups). Levels 1 and 2 are
+    spelled out as format_gcn1 and format_gcn2 spell them, each from the
+    level below, in one comprehension per level.
+    """
+    gcn0 = level0_codes(g)
     nbrs = g.neighbors
-    gcn0 = [gcn0_of_atom(g, i) for i in range(n)]
-    gcn1 = []
-    for i in range(n):
-        gcn1.append(format_gcn1(gcn0[i], (gcn0[j] for j, _ in nbrs[i])))
-    gcn2 = []
-    for i in range(n):
-        gcn2.append(format_gcn2(gcn0[i], (gcn1[j] for j, _ in nbrs[i])))
+    gcn1 = [
+        f"{c}({','.join(sorted([gcn0[j] for j, _ in nb], reverse=True))})"
+        if nb else c
+        for c, nb in zip(gcn0, nbrs)
+    ]
+    gcn2 = [
+        f"{c}[{','.join(sorted([gcn1[j] for j, _ in nb], reverse=True))}]"
+        if nb else c
+        for c, nb in zip(gcn0, nbrs)
+    ]
     return gcn0, gcn1, gcn2
 
 
@@ -250,14 +269,17 @@ def gcn2_level(g: HeavyGraph) -> int:
     Single-heavy-atom molecules sit at level 0; the theoretical maximum
     over admissible valences is 16.
     """
+    # Each atom's ball as a bitmask: its own bit, its neighbors' and theirs.
+    reach = [0] * g.na
+    for i, j, _ in g.bonds:
+        reach[i] |= 1 << j
+        reach[j] |= 1 << i
     best = 1
-    nbrs = g.neighbors
-    for v in range(g.na):
-        ball = {v}
-        for w, _ in nbrs[v]:
-            ball.add(w)
-            for u, _ in nbrs[w]:
-                ball.add(u)
-        if len(ball) > best:
-            best = len(ball)
+    for v, nbrs in enumerate(g.neighbors):
+        ball = reach[v] | 1 << v
+        for w, _ in nbrs:
+            ball |= reach[w]
+        size = ball.bit_count()
+        if size > best:
+            best = size
     return best - 1 if g.na else 0

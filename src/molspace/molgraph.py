@@ -21,8 +21,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from .errors import (
@@ -42,6 +41,9 @@ DEFAULT_VALENCE = {"C": 4, "N": 3, "O": 2, "F": 1}
 
 BOND_ORDERS = (1, 2, 3)
 
+# Per-atom tuples of (neighbor index, bond order) pairs.
+Adjacency = tuple[tuple[tuple[int, int], ...], ...]
+
 
 class HydrogenClampWarning(UserWarning):
     """Inferred hydrogen count was negative and has been clamped to zero."""
@@ -56,6 +58,7 @@ class MolGraph:
     format, and it holds one hydrogen count per atom. ``props``
     holds the record's (name, value) properties in input order and
     ``mol`` names the parent molecule (the id when the record gives none).
+    ``neighbors`` is the parser's adjacency, handed on to the HeavyGraph.
     """
 
     id: str
@@ -64,6 +67,7 @@ class MolGraph:
     h_counts: tuple[int, ...] | None = None
     props: tuple[tuple[str, float], ...] = ()
     mol: str = ""
+    neighbors: Adjacency | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -71,29 +75,24 @@ class HeavyGraph:
     """Hydrogen-suppressed molecular graph.
 
     Vertices are heavy atoms; each carries the count of hydrogens removed
-    from (or assigned to) it. Immutable and safe to share between threads.
+    from (or assigned to) it. ``neighbors`` is built from ``bonds`` unless
+    given. Immutable and safe to share between threads.
     """
 
     elements: tuple[str, ...]
     bonds: tuple[tuple[int, int, int], ...]
     h_count: tuple[int, ...]
+    neighbors: Adjacency = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.neighbors is None:
+            adj = _adjacency(len(self.elements), self.bonds)
+            object.__setattr__(self, "neighbors", adj)
 
     @property
     def na(self) -> int:
         """Number of heavy atoms."""
         return len(self.elements)
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-atom tuple of (neighbor index, bond order) pairs."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.na)]
-        for i, j, order in self.bonds:
-            adj[i].append((j, order))
-            adj[j].append((i, order))
-        return tuple(tuple(a) for a in adj)
-
-    def order_sum(self, i: int) -> int:
-        return sum(order for _, order in self.neighbors[i])
 
     def composition(self) -> dict[str, int]:
         """Element counts including hydrogens."""
@@ -132,29 +131,25 @@ def _normalize_bonds(
     return tuple(sorted(out))
 
 
-def _connected(natoms: int, bonds: Iterable[tuple[int, int, int]]) -> int:
-    """Number of connected components."""
-    if natoms == 0:
-        return 0
-    adj: list[list[int]] = [[] for _ in range(natoms)]
-    for i, j, _ in bonds:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = [False] * natoms
-    parts = 0
-    for start in range(natoms):
-        if seen[start]:
-            continue
-        parts += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-    return parts
+def _adjacency(natoms: int, bonds: Iterable[tuple[int, int, int]]) -> Adjacency:
+    """The (neighbor index, bond order) pairs of each atom."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(natoms)]
+    for i, j, order in bonds:
+        adj[i].append((j, order))
+        adj[j].append((i, order))
+    return tuple(map(tuple, adj))
+
+
+def _connected(adj: Adjacency) -> bool:
+    """Whether the atoms, at least one, form a single fragment."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w, _ in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
 
 
 def parse_molfile(text: str) -> MolGraph:
@@ -213,7 +208,8 @@ def _parse_molfile_blocks(name: str, lines: list[str]) -> MolGraph:
         raw_bonds.append((i - 1, j - 1, order))
 
     bonds = _normalize_bonds(raw_bonds, natoms)
-    if _connected(natoms, bonds) != 1:
+    adj = _adjacency(natoms, bonds)
+    if not _connected(adj):
         raise ParseError("molfile describes more than one fragment")
     return MolGraph(
         id=name,
@@ -221,6 +217,7 @@ def _parse_molfile_blocks(name: str, lines: list[str]) -> MolGraph:
         bonds=bonds,
         h_counts=None,
         mol=name,
+        neighbors=adj,
     )
 
 
@@ -240,21 +237,21 @@ def parse_record_obj(obj: Mapping[str, Any]) -> MolGraph:
 
 
 def _parse_record_fields(rec_id: str, obj: Mapping[str, Any]) -> MolGraph:
+    _utf8_text("id", rec_id)
     for key in ("elements", "bonds", "h"):
         if key not in obj:
             raise ParseError(f"record missing field {key!r}")
     elements_raw = obj["elements"]
     if not isinstance(elements_raw, list) or not elements_raw:
         raise ParseError("field 'elements' must be a non-empty list")
-    elements: list[str] = []
     for k, el in enumerate(elements_raw):
-        if el == "H":
-            raise ParseError(
-                f"atom {k + 1} is hydrogen; records carry heavy atoms only"
-            )
         if el not in HEAVY_ELEMENTS:
+            if el == "H":
+                raise ParseError(
+                    f"atom {k + 1} is hydrogen; records carry heavy atoms only"
+                )
             raise UnsupportedElement(f"unsupported element {el!r} at atom {k + 1}")
-        elements.append(el)
+    elements = tuple(elements_raw)
     natoms = len(elements)
 
     bonds_raw = obj["bonds"]
@@ -262,51 +259,48 @@ def _parse_record_fields(rec_id: str, obj: Mapping[str, Any]) -> MolGraph:
         raise ParseError("field 'bonds' must be a list")
     raw_bonds: list[tuple[int, int, int]] = []
     for entry in bonds_raw:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 3
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)
-        ):
-            raise ParseError(f"malformed bond entry {entry!r}")
-        i, j, order = entry
-        raw_bonds.append((i - 1, j - 1, order))
+        # JSON gives a list for an array, and an int (or a bool, which the
+        # type() test keeps out) for an integer literal.
+        if isinstance(entry, list) and len(entry) == 3:
+            i, j, order = entry
+            if type(i) is int and type(j) is int and type(order) is int:
+                raw_bonds.append((i - 1, j - 1, order))
+                continue
+        raise ParseError(f"malformed bond entry {entry!r}")
     bonds = _normalize_bonds(raw_bonds, natoms)
-    if _connected(natoms, bonds) != 1:
+    adj = _adjacency(natoms, bonds)
+    if not _connected(adj):
         raise ParseError("record describes more than one fragment")
-
-    order_sums = [0] * natoms
-    for i, j, order in bonds:
-        order_sums[i] += order
-        order_sums[j] += order
 
     h_field = obj["h"]
     if h_field == "auto":
-        h_counts: list[int] = []
-        for k, el in enumerate(elements):
-            h = DEFAULT_VALENCE[el] - order_sums[k]
+        sums = _order_sums(natoms, bonds)
+        h_counts = [DEFAULT_VALENCE[el] - s for el, s in zip(elements, sums)]
+        for k, h in enumerate(h_counts):
             if h < 0:
                 warnings.warn(
-                    f"record {rec_id!r}: atom {k + 1} ({el}) has bond order sum "
-                    f"{order_sums[k]} above the default valence; hydrogen count "
-                    "clamped to 0",
+                    f"record {rec_id!r}: atom {k + 1} ({elements[k]}) has bond "
+                    f"order sum {sums[k]} above the default valence; hydrogen "
+                    "count clamped to 0",
                     HydrogenClampWarning,
                     stacklevel=3,
                 )
-                h = 0
-            h_counts.append(h)
+                h_counts[k] = 0
     elif isinstance(h_field, list):
         if len(h_field) != natoms:
             raise ParseError(
                 f"field 'h' has {len(h_field)} entries for {natoms} atoms"
             )
         for k, h in enumerate(h_field):
-            if not isinstance(h, int) or isinstance(h, bool):
+            if type(h) is not int:
                 raise ParseError(f"hydrogen count for atom {k + 1} is not an integer")
             if h < 0:
                 raise InvalidHydrogenCount(
                     f"negative hydrogen count {h} at atom {k + 1}"
                 )
-        h_counts = list(h_field)
+            if h.bit_length() > 63:  # far past every cap; keeps the load printable
+                raise ParseError(f"hydrogen count for atom {k + 1} is out of range")
+        h_counts = h_field
     else:
         raise ParseError("field 'h' must be a count list or the token \"auto\"")
 
@@ -325,23 +319,54 @@ def _parse_record_fields(rec_id: str, obj: Mapping[str, Any]) -> MolGraph:
 
     return MolGraph(
         id=rec_id,
-        elements=tuple(elements),
+        elements=elements,
         bonds=bonds,
         h_counts=tuple(h_counts),
         props=tuple(props),
-        mol=str(obj["mol"]) if "mol" in obj else rec_id,
+        mol=_utf8_text("mol", str(obj["mol"])) if "mol" in obj else rec_id,
+        neighbors=adj,
     )
 
 
 def parse_record_line(line: str) -> MolGraph:
-    """Parse one structured-text record line."""
+    """Parse one structured-text record line.
+
+    Text that load_json refuses is a ParseError: malformed, too deeply
+    nested or holding an over-long integer. So are the field faults that
+    parse_record_obj finds.
+    """
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+        obj = load_json(line)
+    except ValueError as exc:
         raise ParseError(f"record line is not valid structured text: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("record line must hold a single object")
     return parse_record_obj(obj)
+
+
+def load_json(text: str) -> Any:
+    """json.loads, where every text the reader cannot take raises
+    ValueError: malformed text (JSONDecodeError), but also nesting too
+    deep for the reader and integers past the interpreter's digit limit."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except RecursionError:
+        raise ValueError("nesting is too deep to read") from None
+    except ValueError:  # int() refuses a literal past the digit limit
+        digits = sys.get_int_max_str_digits()
+        raise ValueError(f"an integer has more than {digits} digits") from None
+
+
+def _utf8_text(key: str, text: str) -> str:
+    """The text, unless it holds a lone surrogate, which no output can
+    encode (a JSON escape such as ``\\ud800`` decodes to one)."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError(f"field {key!r} is not encodable as UTF-8") from None
+    return text
 
 
 def heavy_graph(g: MolGraph) -> HeavyGraph:
@@ -351,14 +376,9 @@ def heavy_graph(g: MolGraph) -> HeavyGraph:
     heavy atom by a single bond; anything else (H-H bonds, isolated or
     multivalent H) raises InvalidHydrogenTopology.
     """
+    adj = g.neighbors or _adjacency(len(g.elements), g.bonds)
     if g.h_counts is not None:
-        return HeavyGraph(elements=g.elements, bonds=g.bonds, h_count=g.h_counts)
-
-    natoms = len(g.elements)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(natoms)]
-    for i, j, order in g.bonds:
-        adj[i].append((j, order))
-        adj[j].append((i, order))
+        return HeavyGraph(g.elements, g.bonds, g.h_counts, adj)
 
     index_map: dict[int, int] = {}
     elements: list[str] = []
@@ -414,10 +434,10 @@ def validate(hg: HeavyGraph) -> list[str]:
     hydrogens with exactly one bond, so it cannot split a parsed molecule.
     """
     diags: list[str] = []
-    for k, el in enumerate(hg.elements):
-        h = hg.h_count[k]
+    sums = _order_sums(hg.na, hg.bonds)
+    for k, (el, h, nbrs) in enumerate(zip(hg.elements, hg.h_count, hg.neighbors)):
         if el in _ORDER_SUM_CAPS:
-            load = hg.order_sum(k) + h
+            load = sums[k] + h
             cap = _ORDER_SUM_CAPS[el]
             if load > cap:
                 diags.append(
@@ -425,7 +445,7 @@ def validate(hg: HeavyGraph) -> list[str]:
                     f"{load}, above the cap of {cap}"
                 )
         else:
-            load = len(hg.neighbors[k]) + h
+            load = len(nbrs) + h
             cap = _CONNECTIVITY_CAPS[el]
             if load > cap:
                 diags.append(
@@ -433,3 +453,12 @@ def validate(hg: HeavyGraph) -> list[str]:
                     f"{load}, above the cap of {cap}"
                 )
     return diags
+
+
+def _order_sums(natoms: int, bonds: Iterable[tuple[int, int, int]]) -> list[int]:
+    """The sum of bond orders at each atom."""
+    sums = [0] * natoms
+    for i, j, order in bonds:
+        sums[i] += order
+        sums[j] += order
+    return sums

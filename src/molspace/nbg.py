@@ -94,13 +94,15 @@ def cut_decomposition(g: HeavyGraph) -> CutDecomposition:
     """Find articulation vertices and bridges in one depth-first pass.
 
     Classic low-link computation (Tarjan 1972), iterative so deep chains
-    cannot overflow the interpreter stack. Bond orders play no role here.
+    cannot overflow the interpreter stack: each vertex has its own
+    iterator over its neighbors, which the search resumes whenever the
+    vertex is back on top of the stack. Bond orders play no role here.
     """
     n = g.na
-    adj = g.neighbors
-
     disc = [-1] * n
     low = [0] * n
+    parent = [-1] * n
+    pending = [iter(nbrs) for nbrs in g.neighbors]
     cuts: set[int] = set()
     bridges: set[tuple[int, int]] = set()
     timer = 0
@@ -111,32 +113,31 @@ def cut_decomposition(g: HeavyGraph) -> CutDecomposition:
         disc[root] = low[root] = timer
         timer += 1
         root_children = 0
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
+        stack = [root]
         while stack:
-            v, parent, ptr = stack[-1]
-            if ptr < len(adj[v]):
-                stack[-1] = (v, parent, ptr + 1)
-                w = adj[v][ptr][0]
-                if w == parent:
-                    continue
+            v = stack[-1]
+            for w, _ in pending[v]:
                 if disc[w] == -1:
                     disc[w] = low[w] = timer
                     timer += 1
-                    if v == root:
-                        root_children += 1
-                    stack.append((w, v, 0))
-                elif disc[w] < low[v]:
+                    parent[w] = v
+                    stack.append(w)
+                    break
+                if disc[w] < low[v] and w != parent[v]:
                     low[v] = disc[w]
             else:
                 stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    if low[v] < low[pv]:
-                        low[pv] = low[v]
-                    if low[v] > disc[pv]:
-                        bridges.add((min(pv, v), max(pv, v)))
-                    if pv != root and low[v] >= disc[pv]:
-                        cuts.add(pv)
+                pv = parent[v]
+                if pv == -1:
+                    continue
+                if low[v] < low[pv]:
+                    low[pv] = low[v]
+                if low[v] > disc[pv]:
+                    bridges.add((pv, v) if pv < v else (v, pv))
+                if pv == root:
+                    root_children += 1
+                elif low[v] >= disc[pv]:
+                    cuts.add(pv)
         if root_children >= 2:
             cuts.add(root)
 
@@ -413,7 +414,10 @@ def nbg0_extract(
     least one cycle). The result keeps one subgraph per component, in
     order of smallest vertex, so repeated cores appear with their
     multiplicity. Every bond between two atoms of a component lies in it.
+    A molecule whose bonds are all bridges is acyclic and has no core.
     """
+    if len(bridges) == len(g.bonds):
+        return []
     n = g.na
     seen = [False] * n
     cores: list[Subgraph] = []
@@ -443,7 +447,7 @@ def scaffold(g: HeavyGraph) -> Subgraph | None:
     idempotent.
     """
     n = g.na
-    degree = [len(g.neighbors[v]) for v in range(n)]
+    degree = list(map(len, g.neighbors))
     alive = [True] * n
     queue = [v for v in range(n) if degree[v] <= 1]
     while queue:

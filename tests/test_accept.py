@@ -2,6 +2,9 @@
 per-record feature function per record."""
 
 import json
+import random
+import subprocess
+import sys
 import time
 from collections import Counter
 
@@ -10,9 +13,12 @@ import pytest
 from molspace import cli, gcn, nbg
 from molspace.cli import main
 from molspace.coverage import coverage_report, ingest
+from molspace.molgraph import heavy_graph, parse_record_line
 
 from conftest import (
+    child_env,
     hexa_tert_butyl_ethane,
+    random_molecule,
     record_line,
     tert_butyl_methane,
 )
@@ -267,3 +273,164 @@ def test_encode_decomposes_each_record_once(count_per_record_calls):
     verdicts = cli._map_ordered(cli._record_task, tasks, workers=1)
     assert all(ok for _, ok, _ in verdicts)
     assert count_per_record_calls == once_each(RING_RECORDS)
+
+
+# Lines that the JSON reader, a message or an output encoder cannot take,
+# each with the reject line it gives; the records around it are kept.
+MALFORMED_LINES = {
+    "deep-nesting": (
+        "[" * 200_000,
+        "id=? ParseError: record line is not valid structured text: "
+        "nesting is too deep to read"),
+    "huge-integer": (
+        '{"id": "big", "elements": ["C"], "bonds": [], "h": "auto", '
+        '"props": {"x": ' + "1" * 5000 + "}}",
+        "id=? ParseError: record line is not valid structured text: "
+        f"an integer has more than {sys.get_int_max_str_digits()} digits"),
+    "huge-hydrogen-count": (
+        '{"id": "hbig", "elements": ["C", "C"], "bonds": [[1, 2, 1]], '
+        '"h": [' + "9" * 4300 + ", 3]}",
+        "id=hbig ParseError: hydrogen count for atom 1 is out of range"),
+    "lone-surrogate-id": (
+        '{"id": "\\ud800x", "elements": ["C"], "bonds": [], "h": "auto"}',
+        "id=\\ud800x ParseError: field 'id' is not encodable as UTF-8"),
+    "lone-surrogate-mol": (
+        '{"id": "m", "mol": "\\udfff", "elements": ["C"], "bonds": [], '
+        '"h": "auto"}',
+        "id=m ParseError: field 'mol' is not encodable as UTF-8"),
+}
+GOOD_IDS = ["ok1", "ok2", "ok3"]
+
+# command -> (argv without the paths, check that the good records are kept)
+FAULT_COMMANDS = {
+    "encode": (["encode"],
+               lambda out: [json.loads(ln)["id"] for ln in body(out)] == GOOD_IDS),
+    "encode-w2": (["encode", "--workers", "2"],
+                  lambda out: [json.loads(ln)["id"] for ln in body(out)] == GOOD_IDS),
+    "cutset": (["cutset"],
+               lambda out: [ln.split("\t")[0] for ln in body(out)] == GOOD_IDS),
+    "coverage": (["coverage"],
+                 lambda out: json_body(out)["conformation_count"] == len(GOOD_IDS)),
+}
+
+
+def fault_file(tmp_path, names):
+    """Write ok1, the first named fault, ok2, the second, ok3; return the
+    path and the two expected reject lines."""
+    bad = [MALFORMED_LINES[name] for name in names]
+    good = [record_line(rec_id, ["C", "C", "O"], [(1, 2, 1), (2, 3, 1)])
+            for rec_id in GOOD_IDS]
+    lines = [good[0], bad[0][0], good[1], bad[-1][0], good[2]]
+    path = tmp_path / "in.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    rejects = [f"line 2 {bad[0][1]}", f"line 4 {bad[-1][1]}"]
+    return path, rejects
+
+
+@pytest.mark.parametrize("command", sorted(FAULT_COMMANDS))
+@pytest.mark.parametrize("names", [
+    ("deep-nesting", "huge-integer"),
+    ("huge-hydrogen-count", "huge-hydrogen-count"),
+    ("lone-surrogate-id", "lone-surrogate-mol"),
+], ids=["deep-or-huge-integer", "huge-hydrogen-count", "lone-surrogate"])
+def test_a_malformed_line_is_one_reject_line(names, command, tmp_path, capsys):
+    path, expected = fault_file(tmp_path, names)
+    out, rejects = tmp_path / "out.txt", tmp_path / "rejects.txt"
+    argv, check = FAULT_COMMANDS[command]
+
+    code = main(argv + ["--input", str(path), "--out", str(out),
+                        "--rejects", str(rejects)])
+
+    assert code == 1
+    assert check(out)
+    assert rejects.read_text(encoding="utf-8").splitlines() == expected
+    assert capsys.readouterr().err == "2 record(s) rejected\n"
+
+
+def body_lines(data):
+    return [ln for ln in data.decode("utf-8").splitlines() if not ln.startswith("#")]
+
+
+def test_a_lone_surrogate_id_is_escaped_on_stderr(tmp_path):
+    path, expected = fault_file(tmp_path, ("lone-surrogate-id", "lone-surrogate-mol"))
+    run = subprocess.run(
+        [sys.executable, "-m", "molspace", "cutset", "--input", str(path)],
+        capture_output=True, env=child_env(), check=False,
+    )
+    assert run.returncode == 1
+    assert [ln.split("\t")[0] for ln in body_lines(run.stdout)] == GOOD_IDS
+    assert run.stderr.decode("utf-8").splitlines() == expected + [
+        "2 record(s) rejected"]
+
+
+@pytest.mark.parametrize("command", sorted(FAULT_COMMANDS))
+def test_invalid_utf8_input_is_one_error_line(command, tmp_path, capsys):
+    good = record_line("ok1", ["C"], []).encode("utf-8")
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(good + b"\n" + b'{"id": "\xff"}\n' + good + b"\n")
+    argv, _ = FAULT_COMMANDS[command]
+
+    code = main(argv + ["--input", str(path), "--out", str(tmp_path / "out.txt")])
+
+    assert code == 1
+    offset = len(good) + 1 + len('{"id": "')
+    assert capsys.readouterr().err == (
+        f"error: ParseError: {path} is not valid UTF-8 "
+        f"(byte 0xff at offset {offset})\n"
+    )
+
+
+def ring_chain_ring(rng):
+    """Two rings joined by a chain: two cores, and a scaffold that is
+    neither of them."""
+    a, b, chain = rng.randint(3, 6), rng.randint(3, 6), rng.randint(0, 3)
+    n = a + b + chain
+    bonds = [(i, i % a + 1, 1) for i in range(1, a + 1)]
+    bonds += [(a + i, a + i % b + 1, 1) for i in range(1, b + 1)]
+    path = [1] + list(range(a + b + 1, n + 1)) + [a + 1]
+    bonds += list(zip(path, path[1:], [1] * (len(path) - 1)))
+    return ["C"] * n, bonds
+
+
+def scaffold_oracle_records():
+    rng = random.Random(14)
+    lines = []
+    for k in range(120):
+        elements, bonds = random_molecule(rng, max_heavy=16, ring_chance=0.9)
+        lines.append(record_line(f"r{k}", elements, bonds))
+    for k in range(30):
+        lines.append(record_line(f"rcr{k}", *ring_chain_ring(rng)))
+    lines.append(record_line("spiro", ["C"] * 5, [
+        (1, 2, 1), (2, 3, 1), (3, 1, 1), (1, 4, 1), (4, 5, 1), (5, 1, 1)]))
+    return lines
+
+
+@pytest.mark.parametrize("mode", nbg.MODES)
+def test_encode_scaffold_equals_the_scaffold_signature(mode, tmp_path):
+    lines = scaffold_oracle_records()
+    path, out = tmp_path / "in.jsonl", tmp_path / "out.txt"
+    path.write_text("\n".join(lines) + "\n")
+
+    assert main(["encode", "--input", str(path), "--mode", mode,
+                 "--out", str(out)]) == 0
+
+    shapes = Counter()
+    for line, row in zip(lines, body(out)):
+        g = heavy_graph(parse_record_line(line))
+        sc = nbg.scaffold(g)
+        expected = None if sc is None else nbg.topology_of(*sc, mode)
+        assert json.loads(row)["scaffold"] == expected, line
+        cores = nbg.nbg0_extract(g, nbg.cut_decomposition(g).bridges)
+        shapes["acyclic" if sc is None
+               else "one core" if sc == cores[0] else "more"] += 1
+    # Both the reused signature and the canonicalized scaffold are tried.
+    assert shapes["one core"] >= 20 and shapes["more"] >= 30
+
+
+def test_coverage_scaffold_types_equal_the_scaffold_signatures():
+    lines = scaffold_oracle_records()
+    table, rejects = ingest(lines, "t")
+    assert rejects == []
+    scaffolds = [nbg.scaffold(r.graph) for r in table.records]
+    expected = {nbg.topology_of(*sc) for sc in scaffolds if sc is not None}
+    assert coverage_report(table)["scaffold_types"] == len(expected)

@@ -15,8 +15,8 @@ from molspace.gcn import (
     enumerate_gcn1,
     format_gcn1,
     format_gcn2,
-    gcn0_of_atom,
     gcn2_level,
+    level0_codes,
     multichoose,
     parse_gcn_code,
 )
@@ -56,18 +56,17 @@ def test_enumerate_gcn0_respects_element_subset():
 
 
 def test_gcn0_of_known_molecules():
-    assert gcn0_of_atom(methane(), 0) == "C04"
-    assert [gcn0_of_atom(ethane(), i) for i in range(2)] == ["C13", "C13"]
-    assert {gcn0_of_atom(benzene(), i) for i in range(6)} == {"C21"}
-    acid = benzoic_acid()
-    codes = [gcn0_of_atom(acid, i) for i in range(acid.na)]
+    assert level0_codes(methane()) == ["C04"]
+    assert level0_codes(ethane()) == ["C13", "C13"]
+    assert level0_codes(benzene()) == ["C21"] * 6
+    codes = level0_codes(benzoic_acid())
     assert codes == ["C30", "C21", "C21", "C21", "C21", "C21", "C30", "O10", "O11"]
 
 
 def test_unencodable_environment_raises():
     bare_carbon = build(["C"], [], h=[0])
-    with pytest.raises(InvalidEnvironment):
-        gcn0_of_atom(bare_carbon, 0)
+    with pytest.raises(InvalidEnvironment, match="atom 1 has environment 'C00'"):
+        level0_codes(bare_carbon)
 
 
 def test_gcn1_sorts_neighbors_descending():
