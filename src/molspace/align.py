@@ -15,9 +15,8 @@ RankDeficient instead of silently pseudo-inverting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import sqrt
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .coverage import DatasetRecord, DatasetTable, record_type_counts
 from .errors import (
@@ -34,16 +33,14 @@ DEFAULT_RIDGE = 1e-8
 DEFAULT_OUTLIER_THRESHOLD = 30.0
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
     """Source energy plus sparse integer count features."""
 
     e0: float
     counts: Mapping[str, int]
 
 
-@dataclass(frozen=True)
-class AlignmentModel:
+class AlignmentModel(NamedTuple):
     mode: str
     c0: float
     coefficients: dict[str, float]
@@ -54,8 +51,7 @@ class AlignmentModel:
     rmsd: float
 
 
-@dataclass(frozen=True)
-class ResidualStats:
+class ResidualStats(NamedTuple):
     n: int
     mae: float
     rmsd: float
@@ -179,7 +175,7 @@ def fit(
         rmsd=0.0,
     )
     stats = residual_stats(model, data)
-    return replace(model, mae=stats.mae, rmsd=stats.rmsd)
+    return model._replace(mae=stats.mae, rmsd=stats.rmsd)
 
 
 def apply(model: AlignmentModel, fv: FeatureVector) -> float:

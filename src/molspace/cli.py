@@ -21,11 +21,10 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+import warnings
 from functools import partial
-from multiprocessing import Pool
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from . import __version__, align as align_mod, coverage as cov, gcn, nbg
 from .descriptors import (
@@ -45,8 +44,8 @@ from .errors import (
 )
 from .molgraph import load_json, parse_molfile
 
-@dataclass(frozen=True)
-class InputText:
+
+class InputText(NamedTuple):
     name: str
     text: str
     digest: str
@@ -94,7 +93,8 @@ def _finish(
         sys.stdout.writelines(f"{line}\n" for line in lines)
         sys.stdout.flush()
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        # Argument bytes that are not UTF-8 come in as surrogates and go out as bytes.
+        with open(args.out, "w", encoding="utf-8", errors="surrogateescape") as fh:
             fh.writelines(f"{line}\n" for line in lines)
     return _write_rejects(args, rejects)
 
@@ -131,7 +131,9 @@ def _map_ordered(
     if workers <= 1:
         return [fn(x) for x in items]
     chunk = max(1, len(items) // (workers * 8))
-    with Pool(workers) as pool:
+    import multiprocessing  # here, so that a launch without a pool never loads it
+
+    with multiprocessing.Pool(workers) as pool:
         return pool.map(fn, items, chunksize=chunk)
 
 
@@ -732,18 +734,22 @@ def _install_config(parser: argparse.ArgumentParser, command: str, path: str) ->
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if args.config:
-            _install_config(parser, args.command, args.config)
+    with warnings.catch_warnings():
+        # One plain line per warning: no source path, line number or code.
+        warnings.showwarning = lambda msg, kind, *_: sys.stderr.write(
+            f"warning: {kind.__name__}: {msg}\n")
+        try:
             args = parser.parse_args(argv)
-        return args.func(args)
-    except InvalidArgument as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except MolspaceError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+            if args.config:
+                _install_config(parser, args.command, args.config)
+                args = parser.parse_args(argv)
+            return args.func(args)
+        except InvalidArgument as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
+        except MolspaceError as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

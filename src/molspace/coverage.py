@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from . import gcn, nbg
 from .errors import (
@@ -33,26 +32,32 @@ TYPE_FEATURES = ("gcn0", "gcn1", "gcn2", "nbg0", "scaffold", "nbg_plus")
 COMPLEMENT_FEATURES = ("gcn1", "nbg_plus", "scaffold")
 
 
-@dataclass
 class DatasetRecord:
-    id: str
-    graph: HeavyGraph
-    properties: dict[str, float]
-    mol: str
-    line_no: int = 0  # input line, from 1; 0 when not read by ingest
+    """One accepted record; ingest sets ``line_no``, its input line from 1 (else 0)."""
+
+    __slots__ = ("id", "graph", "properties", "mol", "line_no")
+
+    def __init__(self, id: str, graph: HeavyGraph, properties: dict[str, float],
+                 mol: str, line_no: int = 0) -> None:
+        self.id = id
+        self.graph = graph
+        self.properties = properties
+        self.mol = mol
+        self.line_no = line_no
 
 
-@dataclass
 class DatasetTable:
-    name: str
-    records: list[DatasetRecord]
+    __slots__ = ("name", "records")
+
+    def __init__(self, name: str, records: list[DatasetRecord]) -> None:
+        self.name = name
+        self.records = records
 
     def __len__(self) -> int:
         return len(self.records)
 
 
-@dataclass(frozen=True)
-class RejectEntry:
+class RejectEntry(NamedTuple):
     line_no: int
     record_id: str | None
     reason: str
@@ -340,8 +345,7 @@ def kl_matrix(
     ]
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     """Fixed-edge histogram; entries are (low, high, count) with low
     inclusive and high exclusive except for the final width-mode bin."""
 

@@ -3,23 +3,20 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .errors import DegenerateWeights, InvalidArgument, MissingReference, ParseError
 from .molgraph import load_json
 
 
-@dataclass(frozen=True)
-class OrbitalRecord:
+class OrbitalRecord(NamedTuple):
     """One orbital: occupation number and orbital energy (atomic units)."""
 
     occupancy: float
     energy: float
 
 
-@dataclass(frozen=True)
-class GroupStats:
+class GroupStats(NamedTuple):
     count: int
     mean: float
     std: float

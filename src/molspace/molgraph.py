@@ -21,8 +21,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .errors import (
     InvalidHydrogenCount,
@@ -49,8 +48,7 @@ class HydrogenClampWarning(UserWarning):
     """Inferred hydrogen count was negative and has been clamped to zero."""
 
 
-@dataclass(frozen=True)
-class MolGraph:
+class MolGraph(NamedTuple):
     """A parsed molecule, prior to hydrogen suppression.
 
     ``elements`` may include ``"H"`` entries (explicit-hydrogen input).
@@ -67,27 +65,27 @@ class MolGraph:
     h_counts: tuple[int, ...] | None = None
     props: tuple[tuple[str, float], ...] = ()
     mol: str = ""
-    neighbors: Adjacency | None = field(default=None, compare=False, repr=False)
+    neighbors: Adjacency | None = None
 
 
-@dataclass(frozen=True)
 class HeavyGraph:
     """Hydrogen-suppressed molecular graph.
 
     Vertices are heavy atoms; each carries the count of hydrogens removed
     from (or assigned to) it. ``neighbors`` is built from ``bonds`` unless
-    given. Immutable and safe to share between threads.
+    given. Never changed after construction, so safe to share between
+    threads.
     """
 
-    elements: tuple[str, ...]
-    bonds: tuple[tuple[int, int, int], ...]
-    h_count: tuple[int, ...]
-    neighbors: Adjacency = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+    __slots__ = ("elements", "bonds", "h_count", "neighbors")
 
-    def __post_init__(self) -> None:
-        if self.neighbors is None:
-            adj = _adjacency(len(self.elements), self.bonds)
-            object.__setattr__(self, "neighbors", adj)
+    def __init__(self, elements: tuple[str, ...],
+                 bonds: tuple[tuple[int, int, int], ...], h_count: tuple[int, ...],
+                 neighbors: Adjacency | None = None) -> None:
+        self.elements = elements
+        self.bonds = bonds
+        self.h_count = h_count
+        self.neighbors = neighbors or _adjacency(len(elements), bonds)
 
     @property
     def na(self) -> int:

@@ -44,10 +44,9 @@ non-isomorphic labeled graphs.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidArgument, TooLarge
 from .molgraph import HeavyGraph
@@ -67,8 +66,7 @@ MODES = (MODE_ELEMENT_ORDER, MODE_SKELETON, MODE_SKELETON_NO_ORDER)
 DEFAULT_MODE = MODE_SKELETON
 
 
-@dataclass(frozen=True)
-class CutDecomposition:
+class CutDecomposition(NamedTuple):
     """Cut vertices and bridges of a heavy graph (0-indexed)."""
 
     cut_vertices: frozenset[int]

@@ -3,6 +3,8 @@
 import argparse
 import json
 import math
+import multiprocessing
+import os
 import re
 import subprocess
 import sys
@@ -314,7 +316,8 @@ def test_pool_is_no_larger_than_the_records_or_the_cores(
         def map(self, fn, items, chunksize):
             return [fn(x) for x in items]
 
-    monkeypatch.setattr(cli, "Pool", StandInPool)
+    # _map_ordered imports multiprocessing when it starts a pool.
+    monkeypatch.setattr(multiprocessing, "Pool", StandInPool)
     data = write(tmp_path, "in.jsonl", METHANE, ETHANE, WATER)
     expected = run(capsys, "encode", "--input", data)
     for cores in (64, 2, None):
@@ -747,14 +750,82 @@ def test_align_rejects_records_with_an_unseen_feature(capsys, tmp_path):
     assert "n\t2" in body_lines(out)
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # Only `align fit` needs numpy; it imports it when it runs.
+LOADED_AFTER_EACH_STEP = """
+import json, os, sys
+from molspace import cli
+
+HEAVY = ("dataclasses", "multiprocessing", "numpy")
+data, gcn0, w1, w2 = sys.argv[1:]
+steps = [[m for m in HEAVY if m in sys.modules]]
+assert cli.main(["enumerate", "gcn0", "--out", gcn0]) == 0
+steps.append([m for m in HEAVY if m in sys.modules])
+assert cli.main(["encode", "--input", data, "--workers", "1", "--out", w1]) == 0
+steps.append([m for m in HEAVY if m in sys.modules])
+assert cli.main(["encode", "--input", data, "--workers", "2", "--out", w2]) == 0
+pool = "multiprocessing" in sys.modules
+print(json.dumps({"steps": steps, "pool": pool, "cores": os.cpu_count() or 1}))
+"""
+
+
+def test_a_launch_without_a_pool_loads_no_dataclasses_multiprocessing_or_numpy(
+    tmp_path,
+):
+    # pytest itself loads dataclasses, so the launch runs in a child. Only
+    # `align fit` needs numpy, and only a pool needs multiprocessing.
+    lines = [record_line(f"m{i}", ["C", "C", "O"], [(1, 2, 1), (2, 3, 1)])
+             for i in range(12)]
+    data = write(tmp_path, "in.jsonl", *lines)
+    outs = [tmp_path / name for name in ("gcn0.txt", "w1.txt", "w2.txt")]
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, molspace.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", LOADED_AFTER_EACH_STEP, data, *map(str, outs)],
         capture_output=True, text=True, env=child_env(), check=True,
     )
-    assert proc.stdout == "False\n"
+    result = json.loads(proc.stdout)
+    # After import, after `enumerate gcn0` and after `encode --workers 1`.
+    assert result["steps"] == [[], [], []]
+    assert result["pool"] == (result["cores"] >= 2)
+    assert outs[2].read_bytes() == outs[1].read_bytes()
+
+
+def test_out_gets_the_bytes_of_stdout_for_argument_text_that_is_not_utf8(tmp_path):
+    # Python hands an argument byte that is not UTF-8 over as a surrogate.
+    raw = os.fsdecode(b"\xff")
+    data = write(tmp_path, "a.jsonl", METHANE, ETHANE)
+    named = write(tmp_path, f"{raw}.jsonl", METHANE, ETHANE)
+    # The standard-output handler Python picks under a C or UTF-8 locale.
+    env = child_env(PYTHONIOENCODING="utf-8:surrogateescape")
+    out = tmp_path / "out.txt"
+    for argv in (
+        ["kl", data, data, "--names", f"{raw},y", "--feature", "gcn0"],
+        ["coverage", "--input", data, "--name", raw, "--format", "table"],
+        ["encode", "--input", named],
+    ):
+        command = [sys.executable, "-m", "molspace", *argv]
+        to_stdout = subprocess.run(command, capture_output=True, env=env)
+        to_file = subprocess.run(command + ["--out", str(out)],
+                                 capture_output=True, env=env)
+        assert (to_stdout.returncode, to_file.returncode) == (0, 0), argv[0]
+        assert (to_stdout.stderr, to_file.stderr) == (b"", b"")
+        assert b"\xff" in to_stdout.stdout
+        assert out.read_bytes() == to_stdout.stdout
+
+
+def test_a_clamped_hydrogen_count_is_one_plain_warning_line(tmp_path):
+    # N(=O)(C)C: the nitrogen's order sum 4 exceeds its default valence 3,
+    # so its inferred count is clamped to 0; the record is still accepted.
+    nitro = record_line("nitro", ["C", "N", "O", "C"],
+                        [(1, 2, 1), (2, 3, 2), (2, 4, 1)])
+    data = write(tmp_path, "in.jsonl", nitro)
+    proc = subprocess.run(
+        [sys.executable, "-m", "molspace", "encode", "--input", data],
+        capture_output=True, text=True, env=child_env(), check=False,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "warning: HydrogenClampWarning: record 'nitro': atom 2 (N) has bond "
+        "order sum 4 above the default valence; hydrogen count clamped to 0\n"
+    )
+    assert body_lines(proc.stdout)[0].startswith('{"id":"nitro"')
 
 
 def test_readme_library_example_runs(capsys):
