@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import sqrt
 from typing import Iterable, Mapping, NamedTuple
 
-from .coverage import DatasetRecord, DatasetTable, record_type_counts
+from .coverage import DatasetRecord, record_type_counts
 from .errors import (
     InvalidArgument,
     MissingProperty,
@@ -56,19 +56,6 @@ class ResidualStats(NamedTuple):
     mae: float
     rmsd: float
     outliers: int
-
-
-def build_features(
-    table: DatasetTable,
-    e0_prop: str,
-    mode: str,
-    target_prop: str | None = None,
-) -> list[tuple[FeatureVector, float | None]]:
-    """Feature/target pairs for every record of a table (record_features)."""
-    return [
-        record_features(record, e0_prop, mode, target_prop)
-        for record in table.records
-    ]
 
 
 def record_features(
@@ -122,7 +109,7 @@ def fit(
 ) -> AlignmentModel:
     """Least-squares fit of the alignment form over feature/target pairs.
 
-    mode names the feature mode the pairs were built with (build_features)
+    mode names the feature mode the pairs were built with (record_features)
     and is stored in the model. Pass ridge 0.0 for an exact unregularized
     fit, which raises RankDeficient when the normal matrix is singular. The
     result is deterministic and independent of the order of the pairs.

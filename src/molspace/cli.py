@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import warnings
 from functools import partial
@@ -40,9 +39,8 @@ from .errors import (
     MolspaceError,
     NoRecords,
     ParseError,
-    UnseenFeature,
 )
-from .molgraph import load_json, parse_molfile
+from .molgraph import load_json
 
 
 class InputText(NamedTuple):
@@ -118,25 +116,6 @@ def _write_rejects(args: argparse.Namespace, rejects: list[cov.RejectEntry]) -> 
     return 1
 
 
-def _map_ordered(
-    fn: Callable[[Any], Any], items: list[Any], workers: int
-) -> list[Any]:
-    """Order-preserving map, optionally across a process pool.
-
-    The output is a plain ordered list either way, so results do not
-    depend on the worker count. The pool has no more processes than there
-    are cores or items.
-    """
-    workers = min(workers, os.cpu_count() or 1, len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    chunk = max(1, len(items) // (workers * 8))
-    import multiprocessing  # here, so that a launch without a pool never loads it
-
-    with multiprocessing.Pool(workers) as pool:
-        return pool.map(fn, items, chunksize=chunk)
-
-
 # ---------------------------------------------------------------------------
 # encode / cutset
 # ---------------------------------------------------------------------------
@@ -150,16 +129,8 @@ def _encode_record(rec: cov.DatasetRecord, mode: str) -> str:
     g = rec.graph
     gcn0, gcn1, gcn2 = gcn.atom_codes(g)
     cd = nbg.cut_decomposition(g)
-    cores = nbg.nbg0_extract(g, cd.bridges)
-    sc = nbg.scaffold(g)
-    core_sigs = [nbg.topology_of(*core, mode) for core in cores]
-    if sc is None:
-        scaffold_sig = None
-    elif sc == cores[0]:
-        # The scaffold is the molecule's only core, the same subgraph.
-        scaffold_sig = core_sigs[0]
-    else:
-        scaffold_sig = nbg.topology_of(*sc, mode)
+    core_sigs = [nbg.topology_of(*core, mode) for core in nbg.nbg0_extract(g, cd.bridges)]
+    scaffold_sig = nbg.scaffold_topology(g, core_sigs, mode)
     core_sigs.sort()
     return _ENCODE_JSON({
         "id": rec.id,
@@ -177,7 +148,7 @@ def _encode_record(rec: cov.DatasetRecord, mode: str) -> str:
     })
 
 
-def _cutset_record(rec: cov.DatasetRecord, mode: str) -> str:
+def _cutset_record(rec: cov.DatasetRecord) -> str:
     cd = nbg.cut_decomposition(rec.graph)
     return (
         f"{rec.id}\tvc={len(cd.cut_vertices)} ec={len(cd.bridges)} "
@@ -185,47 +156,37 @@ def _cutset_record(rec: cov.DatasetRecord, mode: str) -> str:
     )
 
 
-_RENDER = {"encode": _encode_record, "cutset": _cutset_record}
+def _record_pass(
+    args: argparse.Namespace,
+    paths: list[str],
+    compute: Callable[[cov.DatasetRecord], Any],
+    molfile: bool = False,
+) -> tuple[list[list[Any]], list[cov.RejectEntry], list[InputText]]:
+    """Read the inputs in order, then run one record pass over them all at
+    --workers: each input's kept values, the rejects and the sources."""
+    sources = [read_input(path) for path in paths]
+    values, rejects = cov.ingest([s.text for s in sources], compute, args.workers, molfile)
+    return values, rejects, sources
 
 
-def _accept_molfile(text: str) -> cov.DatasetRecord:
-    return cov.accept_molecule(parse_molfile(text))
-
-
-def _record_task(task: tuple[str, str, str]) -> cov.Verdict:
-    """Verdict on one record line; task is (command, mode, line)."""
-    command, mode, line = task
-    return cov.judge(cov.accept_record, line, partial(_RENDER[command], mode=mode))
-
-
-def _run_per_record(args: argparse.Namespace, command: str) -> int:
-    mode = args.mode
-    source = read_input(args.input)
+def _run_per_record(
+    args: argparse.Namespace, command: str, compute: Callable[[Any], str]
+) -> int:
+    (body,), rejects, sources = _record_pass(
+        args, [args.input], compute, args.input_format == "molfile"
+    )
     # The worker count changes scheduling only, never bytes, so it is
     # deliberately left out of the echoed configuration.
-    echo = {"mode": mode, "input_format": args.input_format}
-
-    if args.input_format == "molfile":
-        numbered = [(1, source.text)]
-        render = partial(_RENDER[command], mode=mode)
-        verdicts = [cov.judge(_accept_molfile, source.text, render)]
-    else:
-        numbered = cov.record_lines(source.text.splitlines())
-        verdicts = _map_ordered(
-            _record_task,
-            [(command, mode, line) for _, line in numbered],
-            args.workers,
-        )
-    body, rejects = cov.admit(numbered, verdicts)
-    return _finish(args, header_lines(command, echo, [source]) + body, rejects)
+    echo = {"mode": args.mode, "input_format": args.input_format}
+    return _finish(args, header_lines(command, echo, sources) + body, rejects)
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    return _run_per_record(args, "encode")
+    return _run_per_record(args, "encode", partial(_encode_record, mode=args.mode))
 
 
 def cmd_cutset(args: argparse.Namespace) -> int:
-    return _run_per_record(args, "cutset")
+    return _run_per_record(args, "cutset", _cutset_record)
 
 
 # ---------------------------------------------------------------------------
@@ -266,21 +227,17 @@ def cmd_generate_nbg0(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _ingest_path(path: str, name: str | None = None) -> tuple[
-    cov.DatasetTable, list[cov.RejectEntry], InputText
-]:
-    source = read_input(path)
-    table_name = name or (Path(path).stem if path != "-" else "stdin")
-    table, rejects = cov.ingest(source.text.splitlines(), table_name)
-    return table, rejects, source
+def _stem(path: str) -> str:
+    return Path(path).stem if path != "-" else "stdin"
 
 
 def cmd_coverage(args: argparse.Namespace) -> int:
-    table, rejects, source = _ingest_path(args.input, args.name)
-    report = cov.coverage_report(table)
-    lines = header_lines(
-        "coverage", {"format": args.format, "name": table.name}, [source]
+    (features,), rejects, sources = _record_pass(
+        args, [args.input], cov.coverage_features
     )
+    name = args.name or _stem(args.input)
+    report = cov.coverage_report(features, name)
+    lines = header_lines("coverage", {"format": args.format, "name": name}, sources)
     if args.format == "json":
         lines.append(json.dumps(report, sort_keys=False))
     else:
@@ -297,9 +254,10 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     return _finish(args, lines, rejects)
 
 
-def _multi_ingest(
+def _type_tables(
     args: argparse.Namespace,
-) -> tuple[list[cov.DatasetTable], list[cov.RejectEntry], list[InputText]]:
+) -> tuple[list[cov.Table], list[cov.RejectEntry], list[InputText]]:
+    """The named record_type_counts of --feature of every input."""
     paths = args.inputs
     if args.names is not None:
         names = [n.strip() for n in args.names.split(",")]
@@ -309,24 +267,18 @@ def _multi_ingest(
             )
         fault = "--names must list distinct, non-empty names"
     else:
-        names = [Path(p).stem if p != "-" else "stdin" for p in paths]
+        names = [_stem(p) for p in paths]
         fault = "input basenames collide; pass --names to disambiguate"
     if not all(names) or len(set(names)) != len(names):
         raise InvalidArgument(fault)
-    tables: list[cov.DatasetTable] = []
-    rejects: list[cov.RejectEntry] = []
-    sources: list[InputText] = []
-    for path, name in zip(paths, names):
-        table, rej, source = _ingest_path(path, name)
-        tables.append(table)
-        rejects.extend(rej)
-        sources.append(source)
-    return tables, rejects, sources
+    compute = partial(cov.record_type_counts, feature=args.feature, mode=args.mode)
+    counts, rejects, sources = _record_pass(args, paths, compute)
+    return list(zip(names, counts)), rejects, sources
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    tables, rejects, sources = _multi_ingest(args)
-    regions = cov.overlap_report(tables, args.feature, args.mode)
+    tables, rejects, sources = _type_tables(args)
+    regions = cov.overlap_report(tables)
     lines = header_lines(
         "compare", {"feature": args.feature, "mode": args.mode}, sources
     )
@@ -337,23 +289,26 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_kl(args: argparse.Namespace) -> int:
-    tables, rejects, sources = _multi_ingest(args)
-    matrix = cov.kl_matrix(tables, args.feature, args.epsilon, args.mode)
+    cov.check_epsilon(args.epsilon)
+    tables, rejects, sources = _type_tables(args)
+    matrix = cov.kl_matrix(tables, args.feature, args.epsilon)
     echo = {"feature": args.feature, "mode": args.mode, "epsilon": args.epsilon}
     lines = header_lines("kl", echo, sources)
-    lines.append("name\t" + "\t".join(t.name for t in tables))
-    for t, row in zip(tables, matrix):
-        lines.append(t.name + "\t" + "\t".join(repr(v) for v in row))
+    lines.append("name\t" + "\t".join(name for name, _ in tables))
+    for (name, _), row in zip(tables, matrix):
+        lines.append(name + "\t" + "\t".join(repr(v) for v in row))
     return _finish(args, lines, rejects)
 
 
 def cmd_hist(args: argparse.Namespace) -> int:
     bins = args.bins if args.bins == "unit" else int(args.bins)
-    table, rejects, source = _ingest_path(args.input)
-    hist = cov.histogram(table, args.property, bins)
+    cov.check_bins(bins)
+    compute = partial(cov.property_value, prop=args.property)
+    (values,), rejects, sources = _record_pass(args, [args.input], compute)
+    hist = cov.histogram(values, bins)
     # bins is echoed as given: "5" from a flag, 5 from a config file.
     echo = {"property": args.property, "bins": args.bins}
-    lines = header_lines("hist", echo, [source])
+    lines = header_lines("hist", echo, sources)
     lines.append(f"# used={hist.used} skipped={hist.skipped} kind={hist.kind}")
     lines.append("low\thigh\tcount")
     for lo, hi, count in hist.entries:
@@ -362,22 +317,26 @@ def cmd_hist(args: argparse.Namespace) -> int:
 
 
 def cmd_subset(args: argparse.Namespace) -> int:
-    table, rejects, source = _ingest_path(args.input)
-    ids = cov.expansion_subsets(table, args.gcn2_level, args.nbg_level)
+    cov.check_levels(args.gcn2_level, args.nbg_level)
+    (levels,), rejects, sources = _record_pass(args, [args.input], cov.record_levels)
+    ids = cov.expansion_subsets(levels, args.gcn2_level, args.nbg_level)
     echo = {"gcn2_level": args.gcn2_level, "nbg_level": args.nbg_level}
-    lines = header_lines("subset", echo, [source])
+    lines = header_lines("subset", echo, sources)
     lines.extend(sorted(ids))
     return _finish(args, lines, rejects)
 
 
 def cmd_complement(args: argparse.Namespace) -> int:
-    train, rej1, src1 = _ingest_path(args.train)
-    eval_table, rej2, src2 = _ingest_path(args.eval)
-    ids = cov.structure_complement(train, eval_table, args.feature, args.na_cap)
+    cov.check_na_cap(args.na_cap)
+    compute = partial(cov.complement_types, feature=args.feature)
+    (train, evals), rejects, sources = _record_pass(
+        args, [args.train, args.eval], compute
+    )
+    ids = cov.structure_complement(train, evals, args.na_cap)
     echo = {"feature": args.feature, "na_cap": args.na_cap}
-    lines = header_lines("complement", echo, [src1, src2])
+    lines = header_lines("complement", echo, sources)
     lines.extend(sorted(ids))
-    return _finish(args, lines, rej1 + rej2)
+    return _finish(args, lines, rejects)
 
 
 # ---------------------------------------------------------------------------
@@ -414,29 +373,25 @@ def cmd_egcn0(args: argparse.Namespace) -> int:
     return _finish(args, lines, [])
 
 
+def _bind_energy_line(
+    record: cov.DatasetRecord, prop: str, refs: dict[str, float]
+) -> str:
+    if prop not in record.properties:
+        raise MissingProperty(f"record lacks property {prop!r}")
+    value = binding_energy(record.properties[prop], record.graph.composition(), refs)
+    return f"{record.id}\t{value!r}"
+
+
 def cmd_bind_energy(args: argparse.Namespace) -> int:
-    prop = args.property
     refs_source = read_input(args.refs)
     refs = load_reference_lines(refs_source.text.splitlines())
-    table, rejects, source = _ingest_path(args.input)
+    compute = partial(_bind_energy_line, prop=args.property, refs=refs)
+    (body,), rejects, sources = _record_pass(args, [args.input], compute)
     lines = header_lines(
-        "bind-energy", {"property": prop}, [source, refs_source]
+        "bind-energy", {"property": args.property}, sources + [refs_source]
     )
     lines.append("id\te_bind")
-    for record in table.records:
-        try:
-            if prop not in record.properties:
-                raise MissingProperty(f"record lacks property {prop!r}")
-            value = binding_energy(
-                record.properties[prop], record.graph.composition(), refs
-            )
-        except MolspaceError as exc:
-            rejects.append(
-                cov.RejectEntry(record.line_no, record.id, cov.reject_reason(exc))
-            )
-            continue
-        lines.append(f"{record.id}\t{value!r}")
-    return _finish(args, lines, rejects)
+    return _finish(args, lines + body, rejects)
 
 
 # ---------------------------------------------------------------------------
@@ -444,72 +399,64 @@ def cmd_bind_energy(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _align_record(
+    record: cov.DatasetRecord,
+    e0_prop: str,
+    mode: str,
+    target_prop: str | None,
+    model: align_mod.AlignmentModel | None,
+) -> tuple[str, tuple[align_mod.FeatureVector, Any], float | None]:
+    """(id, feature/target pair, aligned value against model or None); a
+    record that lacks a property, or has a feature the model lacks, is
+    rejected."""
+    pair = align_mod.record_features(record, e0_prop, mode, target_prop)
+    return record.id, pair, None if model is None else align_mod.apply(model, pair[0])
+
+
 def cmd_align(args: argparse.Namespace) -> int:
     action = args.action
     e0_prop, e1_prop = args.e0, args.e1
-    table, rejects, source = _ingest_path(args.input)
-
-    def kept(
-        mode: str, target_prop: str | None, model: align_mod.AlignmentModel | None
-    ) -> list[tuple[cov.DatasetRecord, tuple[align_mod.FeatureVector, Any]]]:
-        """(record, feature/target pair) of each record that has the
-        properties and, against a model, no feature the model lacks; every
-        other record becomes a reject entry."""
-        out = []
-        for record in table.records:
-            try:
-                pair = align_mod.record_features(record, e0_prop, mode, target_prop)
-                if model is not None:
-                    align_mod.apply(model, pair[0])
-            except (MissingProperty, UnseenFeature) as exc:
-                rejects.append(
-                    cov.RejectEntry(record.line_no, record.id, cov.reject_reason(exc))
-                )
-                continue
-            out.append((record, pair))
-        return out
-
-    def pairs_left(mode: str, model: align_mod.AlignmentModel | None) -> list:
-        """The kept pairs; with none left, the rejects, then an error."""
-        pairs = [pair for _, pair in kept(mode, e1_prop, model)]
-        if not pairs:
-            _write_rejects(args, rejects)
-            raise NoRecords(f"no record left to {action}")
-        return pairs
-
+    source = read_input(args.input)
     if action == "fit":
-        pairs = pairs_left(args.mode, None)
-        model = align_mod.fit(pairs, ridge=args.ridge, mode=args.mode)
-        lines = header_lines(
-            "align fit",
-            {"mode": args.mode, "ridge": args.ridge, "e0": e0_prop, "e1": e1_prop},
-            [source],
-        )
-        lines.extend(align_mod.save_model(model).splitlines())
+        mode, model, model_source = args.mode, None, None
     else:
         model_source = read_input(args.model)
         model = align_mod.load_model(model_source.text)
-        if action == "apply":
-            lines = header_lines(
-                "align apply", {"e0": e0_prop, "mode": model.mode},
-                [source, model_source],
-            )
-            lines.append("id\taligned")
-            for record, (fv, _) in kept(model.mode, None, model):
-                lines.append(f"{record.id}\t{align_mod.apply(model, fv)!r}")
-        else:  # stats
-            stats = align_mod.residual_stats(
-                model, pairs_left(model.mode, model), args.threshold
-            )
-            lines = header_lines(
-                "align stats",
-                {"e0": e0_prop, "e1": e1_prop, "threshold": args.threshold},
-                [source, model_source],
-            )
-            lines.append(f"n\t{stats.n}")
-            lines.append(f"mae\t{stats.mae!r}")
-            lines.append(f"rmsd\t{stats.rmsd!r}")
-            lines.append(f"outliers\t{stats.outliers}")
+        mode = model.mode
+    target_prop = None if action == "apply" else e1_prop
+    compute = partial(_align_record, e0_prop=e0_prop, mode=mode,
+                      target_prop=target_prop, model=model)
+    (kept,), rejects = cov.ingest([source.text], compute, args.workers)
+    if not kept and action != "apply":
+        _write_rejects(args, rejects)
+        raise NoRecords(f"no record left to {action}")
+    pairs = [pair for _, pair, _ in kept]
+
+    if action == "fit":
+        model = align_mod.fit(pairs, ridge=args.ridge, mode=mode)
+        lines = header_lines(
+            "align fit",
+            {"mode": mode, "ridge": args.ridge, "e0": e0_prop, "e1": e1_prop},
+            [source],
+        )
+        lines.extend(align_mod.save_model(model).splitlines())
+    elif action == "apply":
+        lines = header_lines(
+            "align apply", {"e0": e0_prop, "mode": mode}, [source, model_source],
+        )
+        lines.append("id\taligned")
+        lines.extend(f"{rec_id}\t{value!r}" for rec_id, _, value in kept)
+    else:  # stats
+        stats = align_mod.residual_stats(model, pairs, args.threshold)
+        lines = header_lines(
+            "align stats",
+            {"e0": e0_prop, "e1": e1_prop, "threshold": args.threshold},
+            [source, model_source],
+        )
+        lines.append(f"n\t{stats.n}")
+        lines.append(f"mae\t{stats.mae!r}")
+        lines.append(f"rmsd\t{stats.rmsd!r}")
+        lines.append(f"outliers\t{stats.outliers}")
     return _finish(args, lines, rejects)
 
 

@@ -1,18 +1,22 @@
 """Dataset-level structural coverage analytics.
 
-A dataset table holds parsed heavy-atom records plus their numeric
-properties. On top of it this module computes type inventories for both
-representation axes (local-valence codes and bridge-free topologies),
-overlap regions between tables, smoothed Kullback-Leibler divergence
-matrices, property histograms, threshold-based expansion subsets and
-unseen-structure complements.
+Every record command reads its records in one pass (ingest): each record
+is accepted and given to the command's per-record function, or rejected
+with a reason. The analyses below fold the values that pass keeps into
+type inventories for both representation axes (local-valence codes and
+bridge-free topologies), overlap regions between datasets, smoothed
+Kullback-Leibler divergence matrices, property histograms, threshold-based
+expansion subsets and unseen-structure complements.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import warnings
 from collections import Counter
-from typing import Any, Callable, Iterable, NamedTuple
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import gcn, nbg
 from .errors import (
@@ -23,7 +27,9 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .molgraph import HeavyGraph, MolGraph, heavy_graph, parse_record_line, validate
+from .molgraph import (
+    HeavyGraph, MolGraph, heavy_graph, parse_molfile, parse_record_line, validate,
+)
 
 # Feature axes with a per-record type multiset.
 TYPE_FEATURES = ("gcn0", "gcn1", "gcn2", "nbg0", "scaffold", "nbg_plus")
@@ -33,28 +39,16 @@ COMPLEMENT_FEATURES = ("gcn1", "nbg_plus", "scaffold")
 
 
 class DatasetRecord:
-    """One accepted record; ingest sets ``line_no``, its input line from 1 (else 0)."""
+    """One accepted record."""
 
-    __slots__ = ("id", "graph", "properties", "mol", "line_no")
+    __slots__ = ("id", "graph", "properties", "mol")
 
     def __init__(self, id: str, graph: HeavyGraph, properties: dict[str, float],
-                 mol: str, line_no: int = 0) -> None:
+                 mol: str) -> None:
         self.id = id
         self.graph = graph
         self.properties = properties
         self.mol = mol
-        self.line_no = line_no
-
-
-class DatasetTable:
-    __slots__ = ("name", "records")
-
-    def __init__(self, name: str, records: list[DatasetRecord]) -> None:
-        self.name = name
-        self.records = records
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 class RejectEntry(NamedTuple):
@@ -63,8 +57,8 @@ class RejectEntry(NamedTuple):
     reason: str
 
 
-# (record id or None, accepted, rendered record or reject reason)
-Verdict = tuple[str | None, bool, Any]
+# (record id or None, accepted, reject reason or None, computed value)
+Verdict = tuple[str | None, bool, str | None, Any]
 
 
 def accept_record(line: str) -> DatasetRecord:
@@ -87,7 +81,7 @@ def accept_molecule(mol: MolGraph) -> DatasetRecord:
     allow (nbg.MAX_SIGNATURE_VERTICES, TooLarge). So every accepted record
     is encodable by every downstream operation. The level-0 check is
     gcn.level0_codes, table lookups that build no string; the codes are
-    not kept, since a table holds many records and few commands read them.
+    not kept, since few commands read them.
     """
     try:
         g = heavy_graph(mol)
@@ -114,42 +108,54 @@ def reject_reason(exc: MolspaceError) -> str:
 
 
 def judge(
-    accept: Callable[[str], DatasetRecord],
-    text: str,
-    render: Callable[[DatasetRecord], Any],
-) -> Verdict:
-    """Accept one record and render it, or give the reason it is rejected.
+    compute: Callable[[DatasetRecord], Any], molfile: bool, texts: list[str]
+) -> tuple[list[Verdict], list[tuple[type, str]]]:
+    """Accept each record (line or molfile) and compute its value, or give
+    why it is rejected; and the warnings raised, as (category, message).
 
-    Safe to run in worker processes: the duplicate-id check is left to
-    admit, which sees the verdicts of a whole input in order.
+    A MolspaceError rejects the record, except InvalidArgument, the
+    caller's fault, which propagates. The duplicate-id check is left to
+    admit, so that workers can judge chunks of an input.
     """
-    try:
-        record = accept(text)
-    except MolspaceError as exc:
-        return exc.record_id, False, reject_reason(exc)
-    return record.id, True, render(record)
+    verdicts: list[Verdict] = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for text in texts:
+            record = None
+            try:
+                record = (accept_molecule(parse_molfile(text)) if molfile
+                          else accept_record(text))
+                verdicts.append((record.id, True, None, compute(record)))
+            except InvalidArgument:
+                raise
+            except MolspaceError as exc:
+                rec_id = exc.record_id if record is None else record.id
+                verdicts.append((rec_id, record is not None, reject_reason(exc), None))
+    return verdicts, [(w.category, str(w.message)) for w in caught]
 
 
 def admit(
-    numbered: list[tuple[int, str]], verdicts: Iterable[Verdict]
+    numbered: list[tuple[int, str]], verdicts: Iterator[Verdict]
 ) -> tuple[list[Any], list[RejectEntry]]:
-    """Split one input's verdicts into accepted values and reject entries.
+    """Split one input's verdicts, the next len(numbered), into kept
+    values and reject entries.
 
-    A record that reuses the id of a record accepted earlier in the same
-    input is rejected with DuplicateRecord.
+    An accepted record claims its id, even when the command's function
+    then rejects it; a record that reuses an id claimed earlier in the
+    same input is rejected with DuplicateRecord.
     """
     seen: set[str | None] = set()
     kept: list[Any] = []
     rejects: list[RejectEntry] = []
-    for (line_no, _), (rec_id, ok, value) in zip(numbered, verdicts):
-        if ok and rec_id in seen:
-            ok = False
-            value = reject_reason(DuplicateRecord(f"id {rec_id!r} already present"))
-        if ok:
+    for (line_no, _), (rec_id, accepted, reason, value) in zip(numbered, verdicts):
+        if accepted:
+            if rec_id in seen:
+                reason = reject_reason(DuplicateRecord(f"id {rec_id!r} already present"))
             seen.add(rec_id)
+        if reason is None:
             kept.append(value)
         else:
-            rejects.append(RejectEntry(line_no, rec_id, value))
+            rejects.append(RejectEntry(line_no, rec_id, reason))
     return kept, rejects
 
 
@@ -163,21 +169,56 @@ def record_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
     return numbered
 
 
-def ingest(lines: Iterable[str], name: str) -> tuple[DatasetTable, list[RejectEntry]]:
-    """Build a table from record lines, collecting per-record failures.
-
-    Blank lines and '#' comments are skipped. A record is rejected (never
-    fatal) when accept_record rejects it or when it reuses the id of a
-    record already in the table. Accepted records are encodable by every
-    downstream operation.
+def _map_chunks(
+    fn: Callable[[list[Any]], Any], items: list[Any], workers: int
+) -> list[Any]:
+    """fn over consecutive chunks of items, in order, across a process
+    pool of no more processes than cores or items; without a pool, one
+    chunk of all items. Results do not depend on the worker count.
     """
-    numbered = record_lines(lines)
-    verdicts = [judge(accept_record, line, lambda r: r) for _, line in numbered]
-    for (line_no, _), (_, ok, record) in zip(numbered, verdicts):
-        if ok:
-            record.line_no = line_no
-    records, rejects = admit(numbered, verdicts)
-    return DatasetTable(name=name, records=records), rejects
+    workers = min(workers, os.cpu_count() or 1, len(items))
+    if workers <= 1:
+        return [fn(items)]
+    size = max(1, len(items) // (workers * 8))
+    chunks = [items[i:i + size] for i in range(0, len(items), size)]
+    import multiprocessing  # here, so that a launch without a pool never loads it
+
+    with multiprocessing.Pool(workers) as pool:
+        return pool.map(fn, chunks, chunksize=1)
+
+
+def ingest(
+    texts: list[str],
+    compute: Callable[[DatasetRecord], Any],
+    workers: int = 1,
+    molfile: bool = False,
+) -> tuple[list[list[Any]], list[RejectEntry]]:
+    """The one record pass: judge the record_lines (with molfile, the one
+    molfile) of each input across ``workers`` processes, show the warnings
+    in input order, each distinct message once, and give each input's
+    kept values and all reject entries, in input order.
+
+    compute must be picklable: a module-level function or its partial.
+    """
+    numbered = [
+        [(1, text)] if molfile else record_lines(text.splitlines()) for text in texts
+    ]
+    items = [line for part in numbered for _, line in part]
+    verdicts: list[Verdict] = []
+    for chunk_verdicts, caught in _map_chunks(
+        partial(judge, compute, molfile), items, workers
+    ):
+        verdicts.extend(chunk_verdicts)
+        for category, message in caught:
+            warnings.warn(message, category)
+    kept: list[list[Any]] = []
+    rejects: list[RejectEntry] = []
+    remaining = iter(verdicts)
+    for part in numbered:
+        values, part_rejects = admit(part, remaining)
+        kept.append(values)
+        rejects.extend(part_rejects)
+    return kept, rejects
 
 
 def record_type_counts(
@@ -204,75 +245,63 @@ def record_type_counts(
     return counts
 
 
-def _table_type_counts(
-    t: DatasetTable, feature: str, mode: str = nbg.DEFAULT_MODE
-) -> Counter:
-    total: Counter = Counter()
-    for record in t.records:
-        total.update(record_type_counts(record, feature, mode))
-    return total
+def coverage_features(record: DatasetRecord) -> tuple:
+    """The per-record value of coverage_report: (molecule, heavy atoms,
+    cut-set level, level-0/1/2 codes, core signatures in each of
+    nbg.MODES, scaffold signature or None)."""
+    g = record.graph
+    cd = nbg.cut_decomposition(g)
+    cores = nbg.nbg0_extract(g, cd.bridges)
+    sigs = tuple([nbg.topology_of(*core, mode) for core in cores] for mode in nbg.MODES)
+    scaffold = nbg.scaffold_topology(g, sigs[nbg.MODES.index(nbg.DEFAULT_MODE)])
+    return record.mol, g.na, cd.level, gcn.atom_codes(g), sigs, scaffold
 
 
-def type_set(
-    t: DatasetTable, feature: str, mode: str = nbg.DEFAULT_MODE
-) -> set[str]:
-    """Unique feature types observed anywhere in a table."""
-    return set(_table_type_counts(t, feature, mode))
-
-
-def coverage_report(t: DatasetTable) -> dict[str, Any]:
-    """Inventory counts across both representation axes, in output order.
+def coverage_report(features: list[tuple], name: str) -> dict[str, Any]:
+    """Inventory counts across both representation axes, in output order,
+    from the records' coverage_features.
 
     Topology core counts are reported for all three label modes side by
     side, in sorted mode order; the scaffold axis uses the default mode
     (carbon skeleton with bond orders retained). Cut-set levels and heavy
-    atom counts are keyed by their decimal strings, in numeric order. Each
-    record's features are computed once, in one pass, and only the type
-    sets are kept. A scaffold that is the molecule's only core, the same
-    subgraph, takes that core's default-mode signature.
+    atom counts are keyed by their decimal strings, in numeric order.
     """
+    molecules: set[str] = set()
     na_hist: Counter = Counter()
     plus_levels: Counter = Counter()
     codes: tuple[set[str], set[str], set[str]] = (set(), set(), set())
-    cores: dict[str, set[str]] = {mode: set() for mode in nbg.MODES}
-    scaffolds: set[str] = set()
-    for record in t.records:
-        g = record.graph
-        for seen, level_codes in zip(codes, gcn.atom_codes(g)):
-            seen.update(level_codes)
-        cd = nbg.cut_decomposition(g)
-        na_hist[g.na] += 1
-        plus_levels[cd.level] += 1
-        extracted = nbg.nbg0_extract(g, cd.bridges)
-        sigs = {
-            mode: [nbg.topology_of(*core, mode) for core in extracted]
-            for mode in nbg.MODES
-        }
-        for mode, mode_sigs in sigs.items():
-            cores[mode].update(mode_sigs)
-        sc = nbg.scaffold(g)
-        if sc is not None:
-            scaffolds.add(
-                sigs[nbg.DEFAULT_MODE][0] if sc == extracted[0]
-                else nbg.topology_of(*sc)
-            )
+    cores: list[set[str]] = [set() for _ in nbg.MODES]
+    scaffolds: set[str | None] = set()
+    for mol, na, level, level_codes, sigs, scaffold in features:
+        molecules.add(mol)
+        na_hist[na] += 1
+        plus_levels[level] += 1
+        for seen, codes_at_level in zip(codes, level_codes):
+            seen.update(codes_at_level)
+        for seen, mode_sigs in zip(cores, sigs):
+            seen.update(mode_sigs)
+        scaffolds.add(scaffold)
+    scaffolds.discard(None)
     return {
-        "name": t.name,
-        "molecule_count": len({r.mol for r in t.records}),
-        "conformation_count": len(t.records),
+        "name": name,
+        "molecule_count": len(molecules),
+        "conformation_count": len(features),
         "gcn0_types": len(codes[0]),
         "gcn1_types": len(codes[1]),
         "gcn2_types": len(codes[2]),
-        "nbg0_types": {mode: len(cores[mode]) for mode in sorted(nbg.MODES)},
+        "nbg0_types": dict(sorted(zip(nbg.MODES, map(len, cores)))),
         "scaffold_types": len(scaffolds),
         "nbg_plus_levels": {str(k): plus_levels[k] for k in sorted(plus_levels)},
         "na_histogram": {str(k): na_hist[k] for k in sorted(na_hist)},
     }
 
 
-def overlap_report(
-    tables: list[DatasetTable], feature: str, mode: str = nbg.DEFAULT_MODE
-) -> dict[str, int]:
+# A dataset for the comparisons below: its name, and the record_type_counts
+# of each of its records.
+Table = tuple[str, list[Counter]]
+
+
+def overlap_report(tables: list[Table]) -> dict[str, int]:
     """Cardinality of every occupancy region of the type sets.
 
     For k tables the result has one entry per non-empty subset of tables,
@@ -282,13 +311,11 @@ def overlap_report(
     """
     if not 2 <= len(tables) <= 3:
         raise InvalidArgument("overlap_report takes two or three tables")
-    names = [t.name for t in tables]
+    names = [name for name, _ in tables]
     if len(set(names)) != len(names):
         raise InvalidArgument("table names must be distinct")
-    sets = [type_set(t, feature, mode) for t in tables]
-    universe: set[str] = set()
-    for s in sets:
-        universe |= s
+    sets = [set().union(*counts) for _, counts in tables]
+    universe: set[str] = set().union(*sets)
     regions: dict[str, int] = {}
     k = len(tables)
     for mask in range(1, 2**k):
@@ -304,11 +331,15 @@ def overlap_report(
     return regions
 
 
+def check_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon < math.inf:
+        raise InvalidArgument(
+            f"epsilon must be positive and finite, got {epsilon}"
+        )
+
+
 def kl_matrix(
-    tables: list[DatasetTable],
-    feature: str,
-    epsilon: float = 1e-9,
-    mode: str = nbg.DEFAULT_MODE,
+    tables: list[Table], feature: str, epsilon: float = 1e-9
 ) -> list[list[float]]:
     """Smoothed Kullback-Leibler divergence between type distributions.
 
@@ -316,20 +347,19 @@ def kl_matrix(
     over the union support and renormalized. Rows and columns follow the
     order of the tables; entry [row q][col p] is D_KL(P || Q) in nats, so
     rows index the reference distribution Q. A table with no type
-    occurrences raises EmptyDistribution.
+    occurrences raises EmptyDistribution, naming the feature counted.
     """
-    if not 0 < epsilon < math.inf:
-        raise InvalidArgument(
-            f"epsilon must be positive and finite, got {epsilon}"
-        )
+    check_epsilon(epsilon)
     if len(tables) < 2:
         raise InvalidArgument("kl_matrix takes at least two tables")
     counts = []
-    for t in tables:
-        c = _table_type_counts(t, feature, mode)
+    for name, record_counts in tables:
+        c: Counter = Counter()
+        for rc in record_counts:
+            c.update(rc)
         if sum(c.values()) == 0:
             raise EmptyDistribution(
-                f"table {t.name!r} has no {feature} occurrences"
+                f"table {name!r} has no {feature} occurrences"
             )
         counts.append(c)
     support = sorted(set().union(*counts))
@@ -355,101 +385,113 @@ class Histogram(NamedTuple):
     skipped: int
 
 
-def _property_values(t: DatasetTable, prop: str) -> tuple[list[float], int]:
-    values: list[float] = []
-    skipped = 0
-    for record in t.records:
-        if prop.lower() == "na":
-            values.append(float(record.graph.na))
-        elif prop in record.properties:
-            values.append(record.properties[prop])
-        else:
-            skipped += 1
-    return values, skipped
+def property_value(record: DatasetRecord, prop: str) -> float | None:
+    """The record's Na (any case) or numeric property prop; None when it
+    lacks the property."""
+    if prop.lower() == "na":
+        return float(record.graph.na)
+    return record.properties.get(prop)
 
 
-def histogram(t: DatasetTable, prop: str, bins: int | str = "unit") -> Histogram:
-    """Histogram of Na or any numeric record property.
+def check_bins(bins: int | str) -> None:
+    if bins != "unit" and (not isinstance(bins, int) or bins < 1):
+        raise InvalidArgument("bins must be 'unit' or a positive integer")
+
+
+def histogram(values: list[float | None], bins: int | str = "unit") -> Histogram:
+    """Histogram of the records' property_value.
 
     bins is either the token "unit" (one bin per integer floor) or a
     positive bin count for equal-width bins spanning the observed range.
-    Records lacking the property are skipped and counted as such; bin
-    counts always sum to the number of records used.
+    Records lacking the property (None) are skipped and counted as such;
+    bin counts always sum to the number of records used.
     """
-    values, skipped = _property_values(t, prop)
+    check_bins(bins)
+    used = [v for v in values if v is not None]
+    skipped = len(values) - len(used)
     if bins == "unit":
-        c: Counter = Counter(math.floor(v) for v in values)
+        c: Counter = Counter(math.floor(v) for v in used)
         entries = tuple(
             (float(k), float(k + 1), c[k]) for k in sorted(c)
         )
-        return Histogram(
-            kind="unit", entries=entries, used=len(values), skipped=skipped
-        )
-    if not isinstance(bins, int) or bins < 1:
-        raise InvalidArgument("bins must be 'unit' or a positive integer")
-    if not values:
+        return Histogram(kind="unit", entries=entries, used=len(used), skipped=skipped)
+    if not used:
         return Histogram(kind="width", entries=(), used=0, skipped=skipped)
-    lo, hi = min(values), max(values)
+    lo, hi = min(used), max(used)
     if hi == lo:
         hi = lo + 1.0
     width = (hi - lo) / bins
     counts = [0] * bins
-    for v in values:
+    for v in used:
         idx = min(int((v - lo) / width), bins - 1)
         counts[idx] += 1
     entries = tuple(
         (lo + i * width, lo + (i + 1) * width, counts[i]) for i in range(bins)
     )
-    return Histogram(
-        kind="width", entries=entries, used=len(values), skipped=skipped
-    )
+    return Histogram(kind="width", entries=entries, used=len(used), skipped=skipped)
+
+
+def record_levels(record: DatasetRecord) -> tuple[str, int, int]:
+    """The per-record value of expansion_subsets: (id, radius-2 crowding
+    level, cut-set level)."""
+    g = record.graph
+    return record.id, gcn.gcn2_level(g), nbg.cut_decomposition(g).level
+
+
+def check_levels(gcn2_max: int, nbg_max: int) -> None:
+    if gcn2_max < 0 or nbg_max < 0:
+        raise InvalidArgument("level thresholds must be non-negative")
 
 
 def expansion_subsets(
-    t: DatasetTable, gcn2_max: int, nbg_max: int
+    levels: list[tuple[str, int, int]], gcn2_max: int, nbg_max: int
 ) -> set[str]:
-    """Ids of records within both level thresholds.
+    """Ids of records within both level thresholds, from record_levels.
 
     A record qualifies when its radius-2 crowding level is at most
     gcn2_max and its cut-set level is at most nbg_max; the subsets are
     monotone in both thresholds.
     """
-    if gcn2_max < 0 or nbg_max < 0:
-        raise InvalidArgument("level thresholds must be non-negative")
-    out: set[str] = set()
-    for record in t.records:
-        g = record.graph
-        nlevel = nbg.cut_decomposition(g).level
-        if gcn.gcn2_level(g) <= gcn2_max and nlevel <= nbg_max:
-            out.add(record.id)
-    return out
+    check_levels(gcn2_max, nbg_max)
+    return {
+        rec_id for rec_id, crowding, cut_level in levels
+        if crowding <= gcn2_max and cut_level <= nbg_max
+    }
 
 
-def structure_complement(
-    train: DatasetTable,
-    eval_table: DatasetTable,
-    feature: str,
-    na_cap: int | None = None,
-) -> set[str]:
-    """Ids of eval records carrying a feature type never seen in training.
-
-    feature is one of gcn1, nbg_plus (whole-molecule topology with
-    elements and bond orders) or scaffold. The optional na_cap drops eval
-    records with more heavy atoms than the cap before the comparison; a
-    negative cap would drop every record, so it raises InvalidArgument.
-    """
+def complement_types(
+    record: DatasetRecord, feature: str
+) -> tuple[str, int, Counter]:
+    """The per-record value of structure_complement: (id, heavy atoms,
+    record_type_counts). feature is one of gcn1, nbg_plus (whole-molecule
+    topology with elements and bond orders) or scaffold."""
     if feature not in COMPLEMENT_FEATURES:
         raise InvalidArgument(
             f"feature must be one of {COMPLEMENT_FEATURES}, got {feature!r}"
         )
+    return record.id, record.graph.na, record_type_counts(record, feature)
+
+
+def check_na_cap(na_cap: int | None) -> None:
     if na_cap is not None and na_cap < 0:
         raise InvalidArgument(f"na_cap must be non-negative, got {na_cap}")
-    known = type_set(train, feature)
-    out: set[str] = set()
-    for record in eval_table.records:
-        if na_cap is not None and record.graph.na > na_cap:
-            continue
-        types = record_type_counts(record, feature)
-        if any(x not in known for x in types):
-            out.add(record.id)
-    return out
+
+
+def structure_complement(
+    train: list[tuple[str, int, Counter]],
+    evals: list[tuple[str, int, Counter]],
+    na_cap: int | None = None,
+) -> set[str]:
+    """Ids of eval records carrying a feature type never seen in training,
+    from the complement_types of both datasets.
+
+    The optional na_cap drops eval records with more heavy atoms than the
+    cap before the comparison; a negative cap would drop every record, so
+    it raises InvalidArgument.
+    """
+    check_na_cap(na_cap)
+    known: set[str] = set().union(*(types for _, _, types in train))
+    return {
+        rec_id for rec_id, na, types in evals
+        if (na_cap is None or na <= na_cap) and any(x not in known for x in types)
+    }

@@ -462,6 +462,16 @@ def scaffold(g: HeavyGraph) -> Subgraph | None:
     return _induced(g, vertices) if vertices else None
 
 
+def scaffold_topology(
+    g: HeavyGraph, core_sigs: list[str], mode: str = DEFAULT_MODE
+) -> str | None:
+    """Signature of g's scaffold under mode, given its cores' signatures:
+    none without a core, the core's own with one, else canonicalized."""
+    if len(core_sigs) < 2:
+        return core_sigs[0] if core_sigs else None
+    return topology_of(*scaffold(g), mode)
+
+
 # ---------------------------------------------------------------------------
 # Generation
 # ---------------------------------------------------------------------------

@@ -7,12 +7,19 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from functools import partial
 
 import pytest
 
 from molspace import cli, gcn, nbg
 from molspace.cli import main
-from molspace.coverage import coverage_report, ingest
+from molspace.coverage import (
+    _map_chunks,
+    coverage_features,
+    coverage_report,
+    ingest,
+    judge,
+)
 from molspace.molgraph import heavy_graph, parse_record_line
 
 from conftest import (
@@ -220,7 +227,8 @@ def test_highly_symmetric_molecules_finish_quickly(argv, tmp_path, capsys):
         assert body(out) == ["hexa-tBu-ethane", "tetra-tBu-methane"]
 
 
-# The per-record feature functions; each must run once per record.
+# The per-record feature functions; each runs at most once per record,
+# and nbg.scaffold only for a record with two or more cores.
 PER_RECORD_CALLS = [
     (gcn, "atom_codes"),
     (nbg, "cut_decomposition"),
@@ -245,8 +253,10 @@ def count_per_record_calls(monkeypatch):
     return calls
 
 
-def once_each(records):
-    return {name: len(records) for _, name in PER_RECORD_CALLS}
+def once_each(records, multi_core):
+    calls = {name: len(records) for _, name in PER_RECORD_CALLS}
+    calls["scaffold"] = multi_core
+    return calls
 
 
 RING_RECORDS = [
@@ -260,19 +270,20 @@ RING_RECORDS = [
 
 
 def test_coverage_decomposes_each_record_once(count_per_record_calls):
-    table, rejects = ingest(RING_RECORDS, "t")
+    (features,), rejects = ingest(["\n".join(RING_RECORDS)], coverage_features)
     assert rejects == []
-    report = coverage_report(table)
+    report = coverage_report(features, "t")
     assert report["nbg0_types"] == {
         "element-order": 2, "skeleton": 2, "skeleton-no-order": 2}
-    assert count_per_record_calls == once_each(RING_RECORDS)
+    # Only biphenyl has two cores.
+    assert count_per_record_calls == once_each(RING_RECORDS, 1)
 
 
 def test_encode_decomposes_each_record_once(count_per_record_calls):
-    tasks = [("encode", "skeleton", line) for line in RING_RECORDS]
-    verdicts = cli._map_ordered(cli._record_task, tasks, workers=1)
-    assert all(ok for _, ok, _ in verdicts)
-    assert count_per_record_calls == once_each(RING_RECORDS)
+    task = partial(judge, partial(cli._encode_record, mode="skeleton"), False)
+    ((verdicts, _),) = _map_chunks(task, RING_RECORDS, workers=1)
+    assert all(reason is None for _, _, reason, _ in verdicts)
+    assert count_per_record_calls == once_each(RING_RECORDS, 1)
 
 
 # Lines that the JSON reader, a message or an output encoder cannot take,
@@ -429,8 +440,8 @@ def test_encode_scaffold_equals_the_scaffold_signature(mode, tmp_path):
 
 def test_coverage_scaffold_types_equal_the_scaffold_signatures():
     lines = scaffold_oracle_records()
-    table, rejects = ingest(lines, "t")
-    assert rejects == []
-    scaffolds = [nbg.scaffold(r.graph) for r in table.records]
+    scaffolds = [nbg.scaffold(heavy_graph(parse_record_line(line))) for line in lines]
     expected = {nbg.topology_of(*sc) for sc in scaffolds if sc is not None}
-    assert coverage_report(table)["scaffold_types"] == len(expected)
+    (features,), rejects = ingest(["\n".join(lines)], coverage_features)
+    assert rejects == []
+    assert coverage_report(features, "t")["scaffold_types"] == len(expected)

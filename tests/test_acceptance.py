@@ -28,14 +28,21 @@ from conftest import (
     random_molecule_record,
     record_line,
 )
-from test_align import POOL, pool_table, sse
+from test_align import POOL, feature_pairs, pool_table, sse
+
+from functools import partial
 
 from molspace import cli
-from molspace.align import apply, build_features, fit
+from molspace.align import apply, fit
 from molspace.coverage import (
+    _map_chunks,
+    complement_types,
     expansion_subsets,
     ingest,
+    judge,
     kl_matrix,
+    record_levels,
+    record_type_counts,
     structure_complement,
 )
 from molspace.descriptors import OrbitalRecord, binding_energy, e_gcn0
@@ -265,7 +272,7 @@ def test_acceptance_07_topology_generator():
 def test_acceptance_08_alignment_recovery_and_nesting():
     rng = random.Random(801)
     model = fit(
-        build_features(
+        feature_pairs(
             pool_table(rng, target=lambda k, e0: 2.0 * e0 + 3.0),
             "e0", "plain", "e1",
         ),
@@ -287,7 +294,7 @@ def test_acceptance_08_alignment_recovery_and_nesting():
         )
 
     model = fit(
-        build_features(
+        feature_pairs(
             pool_table(rng, target=comp_target), "e0", "composition", "e1",
         ),
         "composition",
@@ -305,7 +312,7 @@ def test_acceptance_08_alignment_recovery_and_nesting():
         table = pool_table(rng)
         sses = []
         for mode in ("plain", "composition", "gcn1"):
-            pairs = build_features(table, "e0", mode, "e1")
+            pairs = feature_pairs(table, "e0", mode, "e1")
             m = fit(pairs, mode, ridge=0.0)
             sses.append(sse(m, pairs))
         slack = 1e-9 * (1.0 + sses[0])
@@ -325,11 +332,12 @@ def test_acceptance_09_kl_guarantees():
                      (5, 6, 2), (6, 1, 1)]),
         record_line("ethane", ["C", "C"], [(1, 2, 1)]),
     ]
-    tables = []
-    for name, lines in (("a", lines_a), ("b", lines_b), ("c", lines_c)):
-        table, rejects = ingest(lines, name)
-        assert rejects == []
-        tables.append(table)
+    counts, rejects = ingest(
+        ["\n".join(lines) for lines in (lines_a, lines_b, lines_c)],
+        partial(record_type_counts, feature="gcn0"),
+    )
+    assert rejects == []
+    tables = list(zip("abc", counts))
     matrix = kl_matrix(tables, "gcn0", epsilon=1e-9)
     n = len(tables)
     assert [len(row) for row in matrix] == [n] * n
@@ -378,21 +386,21 @@ def test_acceptance_10_descriptor_identities():
 def test_acceptance_11_encode_throughput_and_digests():
     rng = random.Random(1101)
     tasks = [
-        ("encode", "skeleton",
-         json.dumps(random_molecule_record(rng, i, max_heavy=32)))
+        json.dumps(random_molecule_record(rng, i, max_heavy=32))
         for i in range(100_000)
     ]
+    task = partial(judge, partial(cli._encode_record, mode="skeleton"), False)
     t0 = time.perf_counter()
-    serial = cli._map_ordered(cli._record_task, tasks, workers=1)
+    serial = [v for verdicts, _ in _map_chunks(task, tasks, workers=1) for v in verdicts]
     elapsed = time.perf_counter() - t0
-    assert all(ok for _, ok, _ in serial)
+    assert all(reason is None for _, _, reason, _ in serial)
     assert elapsed < 60.0
     digest = hashlib.sha256(
-        "\n".join(payload for _, _, payload in serial).encode()
+        "\n".join(payload for _, _, _, payload in serial).encode()
     ).hexdigest()
-    parallel = cli._map_ordered(cli._record_task, tasks, workers=4)
+    parallel = [v for verdicts, _ in _map_chunks(task, tasks, workers=4) for v in verdicts]
     other = hashlib.sha256(
-        "\n".join(payload for _, _, payload in parallel).encode()
+        "\n".join(payload for _, _, _, payload in parallel).encode()
     ).hexdigest()
     assert other == digest
 
@@ -407,7 +415,7 @@ def test_acceptance_12_expansion_subset_logic():
                     [(1, 2, 2), (2, 3, 1), (3, 4, 2), (4, 5, 1),
                      (5, 6, 2), (6, 1, 1), (1, 7, 1)]),
     ]
-    table, rejects = ingest(lines, "trio")
+    (table,), rejects = ingest(["\n".join(lines)], record_levels)
     assert rejects == []
     assert expansion_subsets(table, 0, 0) == {"methane"}
     assert expansion_subsets(table, 5, 0) == {"methane", "benzene"}
@@ -420,4 +428,6 @@ def test_acceptance_12_expansion_subset_logic():
             table, g2, n2
         )
     for feature in ("gcn1", "nbg_plus", "scaffold"):
-        assert structure_complement(table, table, feature) == set()
+        (types,), _ = ingest(
+            ["\n".join(lines)], partial(complement_types, feature=feature))
+        assert structure_complement(types, types) == set()

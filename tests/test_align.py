@@ -10,13 +10,13 @@ from molspace.align import (
     AlignmentModel,
     FeatureVector,
     apply,
-    build_features,
     fit,
     load_model,
     residual_stats,
+    record_features,
     save_model,
 )
-from molspace.coverage import ingest
+from molspace.coverage import accept_record
 from molspace.errors import (
     InvalidArgument,
     MissingProperty,
@@ -50,8 +50,8 @@ POOL = [
 ]
 
 
-def pool_table(rng, n_extra=12, target=None, name="pool"):
-    """One record per pool molecule plus replicates, with random e0.
+def pool_table(rng, n_extra=12, target=None):
+    """One accepted record per pool molecule plus replicates, with random e0.
 
     target maps (molecule index, e0) to e1; by default e1 is random noise.
     """
@@ -71,40 +71,43 @@ def pool_table(rng, n_extra=12, target=None, name="pool"):
             )
         )
         serial += 1
-    table, rejects = ingest(lines, name)
-    assert rejects == []
-    return table
+    return [accept_record(line) for line in lines]
+
+
+def feature_pairs(records, e0_prop, mode, target_prop=None):
+    """The record_features of every record."""
+    return [record_features(r, e0_prop, mode, target_prop) for r in records]
 
 
 def sse(model, pairs):
     return sum((apply(model, fv) - t) ** 2 for fv, t in pairs)
 
 
-def test_build_features_modes():
+def test_record_features_modes():
     lines = [
         record_line("methane", ["C"], [], props={"e0": 1.0}),
         record_line("ethane", ["C", "C"], [(1, 2, 1)], props={"e0": 2.0}),
     ]
-    table, _ = ingest(lines, "t")
-    plain = build_features(table, "e0", "plain")
+    table = [accept_record(line) for line in lines]
+    plain = feature_pairs(table, "e0", "plain")
     assert plain[0][0] == FeatureVector(e0=1.0, counts={})
-    comp = build_features(table, "e0", "composition")
+    comp = feature_pairs(table, "e0", "composition")
     assert comp[0][0].counts == {"C": 1, "H": 4}
     assert comp[1][0].counts == {"C": 2, "H": 6}
-    g1 = build_features(table, "e0", "gcn1")
+    g1 = feature_pairs(table, "e0", "gcn1")
     assert g1[1][0].counts == {"C13(C13)": 2}
     with pytest.raises(InvalidArgument):
-        build_features(table, "e0", "magic")
+        feature_pairs(table, "e0", "magic")
     with pytest.raises(MissingProperty):
-        build_features(table, "missing", "plain")
+        feature_pairs(table, "missing", "plain")
     with pytest.raises(MissingProperty):
-        build_features(table, "e0", "plain", "missing")
+        feature_pairs(table, "e0", "plain", "missing")
 
 
 def test_fit_plain_exact_recovery():
     rng = random.Random(101)
     table = pool_table(rng, target=lambda k, e0: 2.0 * e0 + 3.0)
-    pairs = build_features(table, "e0", "plain", "e1")
+    pairs = feature_pairs(table, "e0", "plain", "e1")
     model = fit(pairs, "plain", ridge=0.0)
     assert model.c0 == pytest.approx(2.0, rel=1e-9)
     assert model.b0 == pytest.approx(3.0, rel=1e-9)
@@ -120,12 +123,11 @@ def test_fit_composition_exact_recovery():
     def target(k, e0):
         _, elements, bonds = POOL[k]
         lines = [record_line("tmp", elements, bonds, props={"e0": 0.0})]
-        table, _ = ingest(lines, "tmp")
-        comp = table.records[0].graph.composition()
+        comp = accept_record(lines[0]).graph.composition()
         return c0 * e0 + sum(truth[el] * n for el, n in comp.items()) + b0
 
     table = pool_table(rng, target=target)
-    pairs = build_features(table, "e0", "composition", "e1")
+    pairs = feature_pairs(table, "e0", "composition", "e1")
     model = fit(pairs, "composition", ridge=0.0)
     assert model.c0 == pytest.approx(c0, rel=1e-6)
     assert model.b0 == pytest.approx(b0, rel=1e-6)
@@ -137,7 +139,7 @@ def test_fit_composition_exact_recovery():
 def test_fit_gcn1_exact_recovery():
     rng = random.Random(107)
     base = pool_table(rng)
-    code_pairs = build_features(base, "e0", "gcn1", "e1")
+    code_pairs = feature_pairs(base, "e0", "gcn1", "e1")
     codes = sorted({k for fv, _ in code_pairs for k in fv.counts})
     truth = {code: rng.uniform(-20.0, 20.0) for code in codes}
     c0, b0 = 0.97, -2.5
@@ -178,7 +180,7 @@ def test_fit_duplicated_columns_need_ridge():
 def test_fit_is_record_order_independent():
     rng = random.Random(113)
     table = pool_table(rng)
-    pairs = build_features(table, "e0", "gcn1", "e1")
+    pairs = feature_pairs(table, "e0", "gcn1", "e1")
     model_a = fit(pairs, "gcn1", ridge=1e-8)
     shuffled = list(pairs)
     rng.shuffle(shuffled)
@@ -192,7 +194,7 @@ def test_nesting_inequality_over_random_datasets(seed=127):
         table = pool_table(rng, n_extra=16)
         sses = {}
         for mode in ("plain", "composition", "gcn1"):
-            pairs = build_features(table, "e0", mode, "e1")
+            pairs = feature_pairs(table, "e0", mode, "e1")
             model = fit(pairs, mode, ridge=0.0)
             sses[mode] = sse(model, [(fv, t) for fv, t in pairs])
         slack = 1e-9 * (1.0 + sses["plain"])
@@ -203,7 +205,7 @@ def test_nesting_inequality_over_random_datasets(seed=127):
 def test_shift_scale_equivariance():
     rng = random.Random(131)
     table = pool_table(rng)
-    pairs = build_features(table, "e0", "composition", "e1")
+    pairs = feature_pairs(table, "e0", "composition", "e1")
     base = fit(pairs, "composition", ridge=0.0)
     a, b = 2.5, -7.0
     scaled = fit([(fv, a * t + b) for fv, t in pairs], "composition", ridge=0.0)
@@ -253,7 +255,7 @@ def test_residual_stats_worked_examples():
 def test_model_round_trips_through_text():
     rng = random.Random(137)
     table = pool_table(rng)
-    pairs = build_features(table, "e0", "gcn1", "e1")
+    pairs = feature_pairs(table, "e0", "gcn1", "e1")
     model = fit(pairs, "gcn1", ridge=1e-8)
     text = save_model(model)
     again = load_model(text)

@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from molspace import cli
+from molspace import cli, coverage
 from molspace.cli import build_parser, main
+from molspace.errors import InvalidArgument
 
 from conftest import WATER_MOLFILE, child_env, record_line
 
@@ -316,12 +317,12 @@ def test_pool_is_no_larger_than_the_records_or_the_cores(
         def map(self, fn, items, chunksize):
             return [fn(x) for x in items]
 
-    # _map_ordered imports multiprocessing when it starts a pool.
+    # coverage._map_chunks imports multiprocessing when it starts a pool.
     monkeypatch.setattr(multiprocessing, "Pool", StandInPool)
     data = write(tmp_path, "in.jsonl", METHANE, ETHANE, WATER)
     expected = run(capsys, "encode", "--input", data)
     for cores in (64, 2, None):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(coverage.os, "cpu_count", lambda: cores)
         assert run(capsys, "encode", "--input", data, "--workers", "64") == expected
     assert sizes == [3, 2]
 
@@ -840,3 +841,121 @@ def test_readme_library_example_runs(capsys):
         if line.startswith("print(")
     ]
     assert expected and capsys.readouterr().out.splitlines() == expected
+
+
+REFS = ['{"element":"C","energy":-37.8}', '{"element":"H","energy":-0.5}',
+        '{"element":"N","energy":-54.6}', '{"element":"O","energy":-75.0}']
+
+
+def test_a_record_rejected_after_acceptance_still_claims_its_id(capsys, tmp_path):
+    # The first `a` lacks the property and is rejected by the command, not
+    # by the accept rule; the second `a` is still a duplicate.
+    data = write(
+        tmp_path, "ds.jsonl",
+        record_line("a", ["C"], [], props={"e0": -40.1}),
+        record_line("a", ["O"], [], props={"e0": -76.1, "e1": -76.4, "e_tot": -76.2}),
+        record_line("b", ["C", "C"], [(1, 2, 1)],
+                    props={"e0": -79.8, "e1": -79.1, "e_tot": -79.5}),
+    )
+    duplicate = "line 2 id=a DuplicateRecord: id 'a' already present"
+    for argv, lacks in (
+        (["bind-energy", "--refs", write(tmp_path, "refs.jsonl", *REFS)], "e_tot"),
+        (["align", "fit", "--mode", "plain", "--out", str(tmp_path / "m.txt")], "e1"),
+    ):
+        code, _, err = run(capsys, *argv, "--input", data)
+        lines = err.splitlines()
+        assert code == 1
+        assert sorted(lines[:-1]) == [
+            f"line 1 id=a MissingProperty: record lacks property {lacks!r}", duplicate]
+        assert lines[-1] == "2 record(s) rejected"
+    assert "n_records\t1\n" in (tmp_path / "m.txt").read_text()
+
+
+def test_reject_lines_come_in_input_order(capsys, tmp_path):
+    data = write(
+        tmp_path, "ds.jsonl",
+        record_line("a", ["C"], [], props={"e_tot": -40.3}),
+        record_line("b", ["C"], [], props={"e0": -40.3}),
+        "{bad json",
+        record_line("a", ["O"], [], props={"e_tot": -76.2}),
+        record_line("f", ["F"], [], props={"e_tot": -99.0}),
+    )
+    code, out, err = run(capsys, "bind-energy", "--input", data,
+                         "--refs", write(tmp_path, "refs.jsonl", *REFS))
+    assert code == 1
+    assert [row.split("\t")[0] for row in body_lines(out)] == ["id", "a"]
+    assert [line.split(" ", 3)[1:3] for line in err.splitlines()[:-1]] == [
+        ["2", "id=b"], ["3", "id=?"], ["4", "id=a"], ["5", "id=f"]]
+
+
+@pytest.mark.parametrize("command", ["kl", "compare", "complement"])
+def test_an_invalid_feature_is_one_invalid_argument(command, capsys, tmp_path):
+    a = write(tmp_path, "a.jsonl", METHANE, ETHANE, WATER)
+    b = write(tmp_path, "b.jsonl", ETHANE, BENZOIC)
+    common = dict(workers=1, out=str(tmp_path / "out.txt"), rejects=None,
+                  mode="skeleton")
+    if command == "complement":
+        args = argparse.Namespace(train=a, eval=b, feature="gcn0", na_cap=None,
+                                  **common)
+    else:
+        args = argparse.Namespace(inputs=[a, b], names=None, feature="bogus",
+                                  epsilon=1e-9, **common)
+    with pytest.raises(InvalidArgument):
+        getattr(cli, f"cmd_{command}")(args)
+    assert capsys.readouterr().err == ""
+    assert not (tmp_path / "out.txt").exists()
+
+
+# A parse reject, a duplicate id, two records whose hydrogen counts are
+# clamped (the duplicate repeats one warning), and records without e1, e_tot.
+MIXED = [
+    record_line("a", ["C"], [], props={"e0": -40.1, "e1": -40.3, "e_tot": -40.5}),
+    "{bad json",
+    record_line("nitro", ["C", "N", "O", "C"], [(1, 2, 1), (2, 3, 2), (2, 4, 1)],
+                props={"e0": -1.0, "e1": -2.0, "e_tot": -3.0}),
+    record_line("b", ["C", "C"], [(1, 2, 1)], props={"e0": -79.0}),
+    record_line("nitro", ["C", "N", "O", "C"], [(1, 2, 1), (2, 3, 2), (2, 4, 1)]),
+    BENZOIC,
+    record_line("nitro2", ["C", "N", "O", "C"], [(1, 2, 1), (2, 3, 2), (2, 4, 1)],
+                props={"e0": -1.5, "e1": -2.5, "e_tot": -3.5}),
+    record_line("w", ["O"], [], props={"e0": -76.1, "e1": -76.4, "e_tot": -76.3}),
+]
+
+
+def test_the_worker_count_changes_no_byte_of_any_record_command(tmp_path):
+    data = write(tmp_path, "mixed.jsonl", *MIXED)
+    other = write(tmp_path, "other.jsonl", METHANE, ETHANE, WATER, BENZOIC)
+    refs = write(tmp_path, "refs.jsonl", *REFS)
+    model = str(tmp_path / "model.txt")
+    subprocess.run([sys.executable, "-m", "molspace", "align", "fit", "--input",
+                    write(tmp_path, "fit.jsonl", METHANE, ETHANE, WATER),
+                    "--mode", "gcn1", "--out", model],
+                   env=child_env(), check=True)
+    commands = [
+        ["encode", "--input", data], ["cutset", "--input", data],
+        ["coverage", "--input", data], ["compare", data, other],
+        ["kl", data, other, "--feature", "nbg_plus"], ["subset", "--input", data],
+        ["hist", "--input", data, "--property", "e1", "--bins", "3"],
+        ["complement", "--train", other, "--eval", data],
+        ["bind-energy", "--input", data, "--refs", refs],
+        ["align", "fit", "--input", data, "--mode", "gcn1"],
+        ["align", "apply", "--input", data, "--model", model],
+        ["align", "stats", "--input", data, "--model", model],
+    ]
+    warning = ("warning: HydrogenClampWarning: record 'nitro': atom 2 (N) has "
+               "bond order sum 4 above the default valence; hydrogen count "
+               "clamped to 0\n")
+    for argv in commands:
+        runs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"out-{workers}.txt"
+            proc = subprocess.run(
+                [sys.executable, "-m", "molspace", *argv, "--workers", workers,
+                 "--out", str(out)],
+                capture_output=True, env=child_env(), check=False,
+            )
+            runs.append((proc.returncode, proc.stdout, proc.stderr, out.read_bytes()))
+        assert runs[0] == runs[1], argv[0]
+        code, stdout, stderr, _ = runs[0]
+        assert (code, stdout) == (1, b""), argv[0]
+        assert stderr.decode().count(warning) == 1, argv[0]

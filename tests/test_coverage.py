@@ -5,17 +5,21 @@ import random
 
 import pytest
 
+from functools import partial
+
 from molspace.coverage import (
-    DatasetTable,
+    complement_types,
+    coverage_features,
     coverage_report,
     expansion_subsets,
     histogram,
     ingest,
     kl_matrix,
     overlap_report,
+    property_value,
+    record_levels,
     record_type_counts,
     structure_complement,
-    type_set,
 )
 from molspace.errors import (
     EmptyDistribution,
@@ -25,10 +29,25 @@ from molspace.errors import (
 from conftest import record_line
 
 
-def make_table(name, lines):
-    table, rejects = ingest(lines, name)
+def pass_over(lines, compute=lambda record: record):
+    """The values one record pass keeps, and its rejects."""
+    (values,), rejects = ingest(["\n".join(lines)], compute)
+    return values, rejects
+
+
+def make_values(lines, compute=lambda record: record):
+    values, rejects = pass_over(lines, compute)
     assert rejects == []
-    return table
+    return values
+
+
+def make_table(name, lines, feature="gcn0"):
+    """(name, record_type_counts of each record), as kl and compare fold them."""
+    return name, make_values(lines, partial(record_type_counts, feature=feature))
+
+
+def type_set(table):
+    return set().union(*table[1])
 
 
 METHANE = record_line("methane", ["C"], [], props={"e": -40.0})
@@ -57,8 +76,8 @@ def test_ingest_accepts_and_rejects_line_by_line():
         record_line("overfull", ["C"], [], h=[9]),
         ETHANE,
     ]
-    table, rejects = ingest(lines, "t")
-    assert [r.id for r in table.records] == ["methane", "ethane"]
+    records, rejects = pass_over(lines)
+    assert [r.id for r in records] == ["methane", "ethane"]
     assert len(rejects) == 4
     assert rejects[0].line_no == 4
     assert "ParseError" in rejects[0].reason
@@ -68,21 +87,20 @@ def test_ingest_accepts_and_rejects_line_by_line():
 
 
 def test_ingest_rejects_unencodable_environment():
-    table, rejects = ingest([record_line("bare", ["C"], [], h=[0])], "t")
-    assert len(table) == 0
+    records, rejects = pass_over([record_line("bare", ["C"], [], h=[0])])
+    assert len(records) == 0
     assert len(rejects) == 1
     assert "InvalidEnvironment" in rejects[0].reason
 
 
 def test_ingest_rejects_non_numeric_property():
     line = record_line("m", ["C"], [], props={"e": "low"})
-    table, rejects = ingest([line], "t")
-    assert len(table) == 0 and "not numeric" in rejects[0].reason
+    records, rejects = pass_over([line])
+    assert len(records) == 0 and "not numeric" in rejects[0].reason
 
 
 def test_record_type_counts_features():
-    table = make_table("t", [ETHANE, BENZENE])
-    eth, benz = table.records
+    eth, benz = make_values([ETHANE, BENZENE])
     assert record_type_counts(eth, "gcn0") == {"C13": 2}
     assert record_type_counts(eth, "gcn1") == {"C13(C13)": 2}
     assert record_type_counts(benz, "gcn0") == {"C21": 6}
@@ -101,8 +119,7 @@ def test_coverage_report_counts():
         ETHANE,
         record_line("ethane_conf2", ["C", "C"], [(1, 2, 1)], mol="ethane"),
     ]
-    table = make_table("t", lines)
-    d = coverage_report(table)
+    d = coverage_report(make_values(lines, coverage_features), "t")
     assert d["conformation_count"] == 3
     assert d["molecule_count"] == 2
     assert d["gcn0_types"] == 2
@@ -110,8 +127,9 @@ def test_coverage_report_counts():
     assert d["na_histogram"] == {"1": 1, "2": 2}
     assert d["nbg_plus_levels"] == {"0": 1, "1": 2}
 
-    rings = make_table("rings", [BENZENE, TOLUENE, CYCLOHEXANE, BIPHENYL, ETHANE])
-    d = coverage_report(rings)
+    rings = make_values(
+        [BENZENE, TOLUENE, CYCLOHEXANE, BIPHENYL, ETHANE], coverage_features)
+    d = coverage_report(rings, "rings")
     assert d == {
         "name": "rings",
         "molecule_count": 5,
@@ -143,13 +161,11 @@ def test_coverage_report_counts():
 def test_overlap_regions_partition_the_union():
     ta = make_table("a", [METHANE, ETHANE])
     tb = make_table("b", [ETHANE, WATER])
-    regions = overlap_report([ta, tb], "gcn0")
+    regions = overlap_report([ta, tb])
     assert regions == {"a": 1, "b": 1, "a&b": 1}
     tc = make_table("c", [BENZENE])
-    three = overlap_report([ta, tb, tc], "gcn0")
-    assert sum(three.values()) == len(
-        type_set(ta, "gcn0") | type_set(tb, "gcn0") | type_set(tc, "gcn0")
-    )
+    three = overlap_report([ta, tb, tc])
+    assert sum(three.values()) == len(type_set(ta) | type_set(tb) | type_set(tc))
     assert set(three) == {"a", "b", "c", "a&b", "a&c", "b&c", "a&b&c"}
 
 
@@ -157,9 +173,9 @@ def test_overlap_requires_two_or_three_distinct_names():
     ta = make_table("a", [METHANE])
     tb = make_table("a", [WATER])
     with pytest.raises(InvalidArgument):
-        overlap_report([ta], "gcn0")
+        overlap_report([ta])
     with pytest.raises(InvalidArgument):
-        overlap_report([ta, tb], "gcn0")
+        overlap_report([ta, tb])
 
 
 def test_kl_matrix_shape_and_diagonal():
@@ -187,35 +203,36 @@ def test_kl_matrix_input_checks():
         kl_matrix([ta, tb], "gcn0", epsilon=0.0)
     with pytest.raises(InvalidArgument):
         kl_matrix([ta], "gcn0")
-    empty = DatasetTable(name="e", records=[])
+    empty = ("e", [])
     with pytest.raises(EmptyDistribution):
         kl_matrix([ta, empty], "gcn0")
 
 
 def test_unit_histogram_floors_values():
-    table = make_table("t", [METHANE, ETHANE, WATER])
-    hist = histogram(table, "Na", "unit")
+    hist = histogram(
+        make_values([METHANE, ETHANE, WATER], partial(property_value, prop="Na")),
+        "unit")
     assert hist.kind == "unit"
     assert hist.entries == ((1.0, 2.0, 2), (2.0, 3.0, 1))
     assert hist.used == 3 and hist.skipped == 0
 
 
 def test_width_histogram_covers_range_inclusively():
-    table = make_table("t", [METHANE, ETHANE, WATER])
-    hist = histogram(table, "e", 2)
+    energy = partial(property_value, prop="e")
+    values = make_values([METHANE, ETHANE, WATER], energy)
+    hist = histogram(values, 2)
     assert hist.kind == "width"
     assert sum(c for _, _, c in hist.entries) == 3
     last = hist.entries[-1]
     assert last[2] >= 1
-    skipping = make_table("s", [METHANE, ETHENE])
-    hist2 = histogram(skipping, "e", 3)
+    hist2 = histogram(make_values([METHANE, ETHENE], energy), 3)
     assert hist2.used == 1 and hist2.skipped == 1
     with pytest.raises(InvalidArgument):
-        histogram(table, "e", 0)
+        histogram(values, 0)
 
 
 def test_expansion_subsets_thresholds():
-    table = make_table("t", [METHANE, ETHANE, PROPANE, BENZENE])
+    table = make_values([METHANE, ETHANE, PROPANE, BENZENE], record_levels)
     assert expansion_subsets(table, 0, 0) == {"methane"}
     assert expansion_subsets(table, 1, 1) == {"methane", "ethane"}
     assert expansion_subsets(table, 16, 22) == {
@@ -231,7 +248,7 @@ def test_expansion_subsets_monotone(seed=17):
     import json
 
     lines = [json.dumps(random_molecule_record(rng, i, max_heavy=12)) for i in range(60)]
-    table, _ = ingest(lines, "t")
+    table, _ = pass_over(lines, record_levels)
     prev: set[str] = set()
     for level in range(0, 24, 3):
         cur = expansion_subsets(table, level, level)
@@ -240,23 +257,25 @@ def test_expansion_subsets_monotone(seed=17):
 
 
 def test_structure_complement_flags_unseen_types():
-    train = make_table("train", [METHANE, PROPANE])
-    eval_t = make_table("eval", [ETHANE, WATER, BENZENE])
-    out = structure_complement(train, eval_t, "gcn1")
+    gcn1 = partial(complement_types, feature="gcn1")
+    train = make_values([METHANE, PROPANE], gcn1)
+    eval_t = make_values([ETHANE, WATER, BENZENE], gcn1)
+    out = structure_complement(train, eval_t)
     assert out == {"ethane", "water", "benzene"}
-    assert structure_complement(train, eval_t, "gcn1", na_cap=2) == {
+    assert structure_complement(train, eval_t, na_cap=2) == {
         "ethane", "water",
     }
-    assert structure_complement(train, make_table("e2", [PROPANE]), "gcn1") == set()
+    assert structure_complement(train, make_values([PROPANE], gcn1)) == set()
     with pytest.raises(InvalidArgument):
-        structure_complement(train, eval_t, "gcn0")
+        pass_over([METHANE, PROPANE], partial(complement_types, feature="gcn0"))
 
 
 def test_structure_complement_refuses_a_negative_na_cap():
-    train = make_table("train", [METHANE])
-    eval_t = make_table("eval", [WATER])
-    assert structure_complement(train, eval_t, "gcn1", na_cap=0) == set()
-    assert structure_complement(train, eval_t, "gcn1", na_cap=1) == {"water"}
+    gcn1 = partial(complement_types, feature="gcn1")
+    train = make_values([METHANE], gcn1)
+    eval_t = make_values([WATER], gcn1)
+    assert structure_complement(train, eval_t, na_cap=0) == set()
+    assert structure_complement(train, eval_t, na_cap=1) == {"water"}
     with pytest.raises(InvalidArgument, match="na_cap must be non-negative"):
-        structure_complement(train, eval_t, "gcn1", na_cap=-5)
+        structure_complement(train, eval_t, na_cap=-5)
 

@@ -19,6 +19,7 @@ from molspace.nbg import (
     nbg0_extract,
     nbg0_generate,
     scaffold,
+    scaffold_topology,
     topology_of,
 )
 
@@ -43,6 +44,7 @@ from conftest import (
     propane,
     random_connected_graph,
     random_labeled_graph,
+    random_molecule,
     random_molecule_record,
     toluene,
 )
@@ -334,3 +336,27 @@ def test_generator_serialization_is_deterministic(capsys):
     assert a.startswith("# generator=nbg0 max_heavy=5 mode=skeleton\n")
     body = [ln for ln in a.splitlines() if not ln.startswith("#")]
     assert body == sorted(nbg0_generate(5))
+
+
+def test_the_core_count_decides_the_scaffold():
+    # Oracle: the stripped scaffold is None exactly without a core, is the
+    # core itself with one core, and differs from every core with more.
+    rng = random.Random(16)
+    shapes = {0: 0, 1: 0, 2: 0}
+    for _ in range(400):
+        elements, bonds = random_molecule(rng, max_heavy=30, ring_chance=0.9)
+        g = build(elements, bonds)
+        cores = nbg0_extract(g, cut_decomposition(g).bridges)
+        sc = scaffold(g)
+        shapes[min(len(cores), 2)] += 1
+        if not cores:
+            assert sc is None
+        elif len(cores) == 1:
+            assert sc == cores[0]
+        else:
+            assert sc is not None and all(sc != core for core in cores)
+        for mode in (MODE_ELEMENT_ORDER, MODE_SKELETON, MODE_SKELETON_NO_ORDER):
+            sigs = [topology_of(*core, mode) for core in cores]
+            expected = None if sc is None else topology_of(*sc, mode)
+            assert scaffold_topology(g, sigs, mode) == expected
+    assert min(shapes.values()) >= 30, shapes
