@@ -121,6 +121,27 @@ WATER_MOLFILE = "\n".join(
     ]
 )
 
+def molfile(title, elements, bonds):
+    """A V2000 connection table from element symbols and 1-indexed bonds;
+    every coordinate is zero."""
+    counts = f"{len(elements):3d}{len(bonds):3d}  0  0  0  0  0  0  0  0999 V2000"
+    lines = [title, "  test", "", counts]
+    lines += [f"    0.0000    0.0000    0.0000 {el:<3} 0  0  0  0  0  0  0  0  0  0  0  0"
+              for el in elements]
+    lines += [f"{i:3d}{j:3d}{order:3d}  0  0  0  0" for i, j, order in bonds]
+    return "\n".join(lines + ["M  END", ""])
+
+
+# Ethanol with explicit hydrogens listed between its heavy atoms; its
+# heavy atoms C, C, O are atoms 1, 5 and 8.
+ETHANOL_MOLFILE = molfile(
+    "ethanol",
+    ["C", "H", "H", "H", "C", "H", "H", "O", "H"],
+    [(1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 5, 1), (5, 6, 1), (5, 7, 1),
+     (5, 8, 1), (8, 9, 1)],
+)
+ETHANOL_RECORD = record("ethanol", ["C", "C", "O"], [(1, 2, 1), (2, 3, 1)])
+
 METHANE_MOLFILE = "\n".join(
     [
         "methane",

@@ -1,9 +1,12 @@
 """Output bytes of the record commands on a seeded corpus, frozen.
 
 Each digest is the sha256 of one command's ``--out`` file, header lines
-included, computed by the code before core extraction and
+included (or, in FROZEN_STREAMS, of its stdout and stderr, with its exit
+code), computed by the code before core extraction and
 canonicalization were split apart; the ``nbg_plus`` digests were computed
-by the code before refinement became incremental. A refactor must keep
+by the code before refinement became incremental, and the ``props``,
+``bind``, ``model`` and molfile digests by the code that still had a
+parsed-molecule type apart from HeavyGraph. A refactor must keep
 every byte; a deliberate change to an output must say so in CHANGES.md
 and update its digest here.
 """
@@ -16,10 +19,34 @@ import pytest
 
 from molspace.cli import main
 
-from conftest import random_molecule_record
+from conftest import ETHANOL_MOLFILE, molfile, random_molecule_record, record_line
 
 CORPUS_SEED = 97
 CORPUS_SIZE = 300
+PROPS_SEED = 98
+PROPS_SIZE = 120
+
+# Reference energies without fluorine, so that fluorinated records are
+# rejected with MissingReference.
+REFS = ['{"element":"C","energy":-37.8}', '{"element":"H","energy":-0.5}',
+        '{"element":"N","energy":-54.6}', '{"element":"O","energy":-75.1}']
+
+# An alignment model written out by hand: apply is plain float arithmetic,
+# so its output does not depend on a linear-algebra build. It has no F
+# coefficient, so fluorinated records are rejected with UnseenFeature.
+MODEL = """# alignment model
+mode\tcomposition
+ridge\t1e-08
+n_records\t10
+c0\t1.01
+b0\t-0.25
+mae\t0.0
+rmsd\t0.0
+coef\tC\t-0.125
+coef\tH\t0.0625
+coef\tN\t0.5
+coef\tO\t-0.75
+"""
 
 # argv (inputs relative to the working directory) -> sha256 of --out.
 # a.jsonl and b.jsonl are the two halves of corpus.jsonl.
@@ -59,6 +86,26 @@ FROZEN_SHA256 = {
         "5b8fdd0870bf7fb44beece6cf65da49c25a98376bcbe17b202039de77627b256",
     "complement --train a.jsonl --eval b.jsonl --feature scaffold":
         "8d340e03cf14164347a45d7df2d90bdad038431e293619727ef06e8f8e4d9531",
+    "hist --input props.jsonl --property e_tot --bins 7":
+        "3546ed9ff75ab575b27ba7ee5cfe513c130ac428fbd8f637c4209daf2298b5d2",
+    "hist --input props.jsonl --property e0":
+        "d352a4f8f41addb37e7b0123f5112a5fc1183267816c995a819013b8dafe3a2c",
+    "encode --input ethanol.mol --input-format molfile":
+        "f574ae0ac7db5489e8230fb8f3d9a45b568cd3bf36cbd54b7407171f64a0f264",
+}
+
+# argv -> (exit code, sha256 of stdout, sha256 of stderr), for runs whose
+# rejects matter as much as their output.
+FROZEN_STREAMS = {
+    "bind-energy --input bind.jsonl --refs refs.jsonl":
+        (1, "98526dc0f82ff08ea28ee86fd0c7cbfec0a0e156c3accdc1a2a3fc4963e784f5",
+            "035f76c15267d040ac21b79d0331e863c2c1d748d2db431643eb02e6e8ffdb4f"),
+    "align apply --input bind.jsonl --model model.txt":
+        (1, "0e1494ac22920f1114d74fd5178f402481a0101b760a40587a78c5f92fa69ec2",
+            "f69281bdcf71c7aacf9533857138a950170fee88e4acd26ab1f22d3fd9d257f9"),
+    "encode --input hh.mol --input-format molfile":
+        (1, "4a686196e5f5a0df0d257052308704c8c34b37dbcbc70f6d70a101f3126b4056",
+            "c68728bd3d0d729d84e6adba6dcc5d9a73f7e24b1723595fe6cb67c7cc9cb734"),
 }
 
 
@@ -69,13 +116,41 @@ def corpus_lines():
     ]
 
 
+def props_lines():
+    """Records with energies; every seventh has none."""
+    rng = random.Random(PROPS_SEED)
+    lines = []
+    for idx in range(PROPS_SIZE):
+        props = {} if idx % 7 == 3 else {
+            "e_tot": round(rng.uniform(-600.0, -40.0), 6),
+            "e0": round(rng.uniform(-30.0, 30.0), 3),
+        }
+        lines.append(json.dumps(random_molecule_record(rng, idx, 12, props)))
+    return lines
+
+
 def write_corpus(directory):
     lines = corpus_lines()
     half = len(lines) // 2
+    props = props_lines()
+    # The records with energies, then a reject of each stage: a line that
+    # does not parse, a reused id, an over-full atom, a missing property.
+    bind = props + [
+        "{bad json",
+        props[0],
+        record_line("overfull", ["C"], [], h=[5], props={"e_tot": -40.0}),
+        record_line("no_e_tot", ["O"], [], props={"e0": 1.0}),
+    ]
     for name, part in [
-        ("corpus", lines), ("a", lines[:half]), ("b", lines[half:])
+        ("corpus", lines), ("a", lines[:half]), ("b", lines[half:]),
+        ("props", props), ("bind", bind), ("refs", REFS),
     ]:
         (directory / f"{name}.jsonl").write_text("\n".join(part) + "\n")
+    (directory / "model.txt").write_text(MODEL)
+    (directory / "ethanol.mol").write_text(ETHANOL_MOLFILE)
+    # Hydrogens 2 and 3 are bonded to each other.
+    (directory / "hh.mol").write_text(
+        molfile("hh", ["C", "H", "H"], [(1, 2, 1), (2, 3, 1)]))
 
 
 def test_corpus_has_ring_closures():
@@ -92,3 +167,14 @@ def test_output_bytes_are_frozen(argv, tmp_path, monkeypatch):
     assert main(argv.split() + ["--out", "out.txt"]) == 0
     digest = hashlib.sha256((tmp_path / "out.txt").read_bytes()).hexdigest()
     assert digest == FROZEN_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(FROZEN_STREAMS))
+def test_streams_and_exit_code_are_frozen(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_corpus(tmp_path)
+    code = main(argv.split())
+    out, err = capsys.readouterr()
+    digests = (code, hashlib.sha256(out.encode()).hexdigest(),
+               hashlib.sha256(err.encode()).hexdigest())
+    assert digests == FROZEN_STREAMS[argv]
