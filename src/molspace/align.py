@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import sqrt
 from typing import Iterable, Mapping, NamedTuple
 
-from .coverage import DatasetRecord, record_type_counts
+from .coverage import record_type_counts
 from .errors import (
     InvalidArgument,
     MissingProperty,
@@ -26,6 +26,7 @@ from .errors import (
     RankDeficient,
     UnseenFeature,
 )
+from .molgraph import HeavyGraph
 
 MODES = ("plain", "composition", "gcn1")
 
@@ -59,7 +60,7 @@ class ResidualStats(NamedTuple):
 
 
 def record_features(
-    record: DatasetRecord,
+    g: HeavyGraph,
     e0_prop: str,
     mode: str,
     target_prop: str | None = None,
@@ -72,18 +73,18 @@ def record_features(
     if mode not in MODES:
         raise InvalidArgument(f"mode must be one of {MODES}, got {mode!r}")
     for prop in (e0_prop, target_prop):
-        if prop is not None and prop not in record.properties:
+        if prop is not None and prop not in g.props:
             exc = MissingProperty(f"record lacks property {prop!r}")
-            exc.record_id = record.id
+            exc.record_id = g.id
             raise exc
     if mode == "plain":
         counts: dict[str, int] = {}
     elif mode == "composition":
-        counts = record.graph.composition()
+        counts = g.composition()
     else:
-        counts = dict(record_type_counts(record, "gcn1"))
-    target = None if target_prop is None else record.properties[target_prop]
-    return FeatureVector(e0=record.properties[e0_prop], counts=counts), target
+        counts = dict(record_type_counts(g, "gcn1"))
+    target = None if target_prop is None else g.props[target_prop]
+    return FeatureVector(e0=g.props[e0_prop], counts=counts), target
 
 
 def _canonical_pairs(

@@ -40,7 +40,7 @@ from .errors import (
     NoRecords,
     ParseError,
 )
-from .molgraph import load_json
+from .molgraph import HeavyGraph, load_json, record_lines
 
 
 class InputText(NamedTuple):
@@ -71,6 +71,16 @@ def read_input(path: str) -> InputText:
             f"(byte 0x{data[exc.start]:02x} at offset {exc.start})"
         ) from None
     return InputText(name=name, text=text, digest=hashlib.sha256(data).hexdigest())
+
+
+def _check_stdin(paths: dict[str, str]) -> None:
+    """Standard input can be read only once: a usage error, before any
+    input is read, when more than one of the inputs (by name) is '-'."""
+    names = [name for name, path in paths.items() if path == "-"]
+    if len(names) > 1:
+        raise InvalidArgument(
+            f"standard input can be read once, but {' and '.join(names)} name '-'"
+        )
 
 
 def header_lines(
@@ -125,15 +135,14 @@ def _write_rejects(args: argparse.Namespace, rejects: list[cov.RejectEntry]) -> 
 _ENCODE_JSON = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _encode_record(rec: cov.DatasetRecord, mode: str) -> str:
-    g = rec.graph
+def _encode_record(g: HeavyGraph, mode: str) -> str:
     gcn0, gcn1, gcn2 = gcn.atom_codes(g)
     cd = nbg.cut_decomposition(g)
     core_sigs = [nbg.topology_of(*core, mode) for core in nbg.nbg0_extract(g, cd.bridges)]
     scaffold_sig = nbg.scaffold_topology(g, core_sigs, mode)
     core_sigs.sort()
     return _ENCODE_JSON({
-        "id": rec.id,
+        "id": g.id,
         "na": g.na,
         "gcn0": gcn0,
         "gcn1": gcn1,
@@ -148,10 +157,10 @@ def _encode_record(rec: cov.DatasetRecord, mode: str) -> str:
     })
 
 
-def _cutset_record(rec: cov.DatasetRecord) -> str:
-    cd = nbg.cut_decomposition(rec.graph)
+def _cutset_record(g: HeavyGraph) -> str:
+    cd = nbg.cut_decomposition(g)
     return (
-        f"{rec.id}\tvc={len(cd.cut_vertices)} ec={len(cd.bridges)} "
+        f"{g.id}\tvc={len(cd.cut_vertices)} ec={len(cd.bridges)} "
         f"level={cd.level}"
     )
 
@@ -159,7 +168,7 @@ def _cutset_record(rec: cov.DatasetRecord) -> str:
 def _record_pass(
     args: argparse.Namespace,
     paths: list[str],
-    compute: Callable[[cov.DatasetRecord], Any],
+    compute: Callable[[HeavyGraph], Any],
     molfile: bool = False,
 ) -> tuple[list[list[Any]], list[cov.RejectEntry], list[InputText]]:
     """Read the inputs in order, then run one record pass over them all at
@@ -209,8 +218,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_count_gcn2(args: argparse.Namespace) -> int:
     source = read_input(args.gcn1_list)
-    stripped = (line.strip() for line in source.text.splitlines())
-    codes = [code for code in stripped if code and not code.startswith("#")]
+    codes = [code for _, code in record_lines(source.text.splitlines())]
     elements = _parse_elements(args.elements) if args.elements else None
     total = gcn.count_gcn2(codes, elements)
     return _finish(args, [str(total)], [])
@@ -271,12 +279,17 @@ def _type_tables(
         fault = "input basenames collide; pass --names to disambiguate"
     if not all(names) or len(set(names)) != len(names):
         raise InvalidArgument(fault)
+    _check_stdin({f"input {k}": path for k, path in enumerate(paths, start=1)})
     compute = partial(cov.record_type_counts, feature=args.feature, mode=args.mode)
     counts, rejects, sources = _record_pass(args, paths, compute)
     return list(zip(names, counts)), rejects, sources
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    if not 2 <= len(args.inputs) <= 3:
+        raise InvalidArgument(
+            f"compare takes two or three inputs, got {len(args.inputs)}"
+        )
     tables, rejects, sources = _type_tables(args)
     regions = cov.overlap_report(tables)
     lines = header_lines(
@@ -290,6 +303,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_kl(args: argparse.Namespace) -> int:
     cov.check_epsilon(args.epsilon)
+    if len(args.inputs) < 2:
+        raise InvalidArgument(f"kl takes at least two inputs, got {len(args.inputs)}")
     tables, rejects, sources = _type_tables(args)
     matrix = cov.kl_matrix(tables, args.feature, args.epsilon)
     echo = {"feature": args.feature, "mode": args.mode, "epsilon": args.epsilon}
@@ -328,6 +343,7 @@ def cmd_subset(args: argparse.Namespace) -> int:
 
 def cmd_complement(args: argparse.Namespace) -> int:
     cov.check_na_cap(args.na_cap)
+    _check_stdin({"--train": args.train, "--eval": args.eval})
     compute = partial(cov.complement_types, feature=args.feature)
     (train, evals), rejects, sources = _record_pass(
         args, [args.train, args.eval], compute
@@ -373,16 +389,15 @@ def cmd_egcn0(args: argparse.Namespace) -> int:
     return _finish(args, lines, [])
 
 
-def _bind_energy_line(
-    record: cov.DatasetRecord, prop: str, refs: dict[str, float]
-) -> str:
-    if prop not in record.properties:
+def _bind_energy_line(g: HeavyGraph, prop: str, refs: dict[str, float]) -> str:
+    if prop not in g.props:
         raise MissingProperty(f"record lacks property {prop!r}")
-    value = binding_energy(record.properties[prop], record.graph.composition(), refs)
-    return f"{record.id}\t{value!r}"
+    value = binding_energy(g.props[prop], g.composition(), refs)
+    return f"{g.id}\t{value!r}"
 
 
 def cmd_bind_energy(args: argparse.Namespace) -> int:
+    _check_stdin({"--input": args.input, "--refs": args.refs})
     refs_source = read_input(args.refs)
     refs = load_reference_lines(refs_source.text.splitlines())
     compute = partial(_bind_energy_line, prop=args.property, refs=refs)
@@ -400,7 +415,7 @@ def cmd_bind_energy(args: argparse.Namespace) -> int:
 
 
 def _align_record(
-    record: cov.DatasetRecord,
+    g: HeavyGraph,
     e0_prop: str,
     mode: str,
     target_prop: str | None,
@@ -409,13 +424,15 @@ def _align_record(
     """(id, feature/target pair, aligned value against model or None); a
     record that lacks a property, or has a feature the model lacks, is
     rejected."""
-    pair = align_mod.record_features(record, e0_prop, mode, target_prop)
-    return record.id, pair, None if model is None else align_mod.apply(model, pair[0])
+    pair = align_mod.record_features(g, e0_prop, mode, target_prop)
+    return g.id, pair, None if model is None else align_mod.apply(model, pair[0])
 
 
 def cmd_align(args: argparse.Namespace) -> int:
     action = args.action
     e0_prop, e1_prop = args.e0, args.e1
+    if action != "fit":
+        _check_stdin({"--input": args.input, "--model": args.model})
     source = read_input(args.input)
     if action == "fit":
         mode, model, model_source = args.mode, None, None

@@ -16,7 +16,7 @@ import os
 import warnings
 from collections import Counter
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from . import gcn, nbg
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
     TooLarge,
 )
 from .molgraph import (
-    HeavyGraph, MolGraph, heavy_graph, parse_molfile, parse_record_line, validate,
+    HeavyGraph, heavy_graph, parse_molfile, parse_record_line, record_lines, validate,
 )
 
 # Feature axes with a per-record type multiset.
@@ -36,19 +36,6 @@ TYPE_FEATURES = ("gcn0", "gcn1", "gcn2", "nbg0", "scaffold", "nbg_plus")
 
 # Feature axes accepted by structure_complement.
 COMPLEMENT_FEATURES = ("gcn1", "nbg_plus", "scaffold")
-
-
-class DatasetRecord:
-    """One accepted record."""
-
-    __slots__ = ("id", "graph", "properties", "mol")
-
-    def __init__(self, id: str, graph: HeavyGraph, properties: dict[str, float],
-                 mol: str) -> None:
-        self.id = id
-        self.graph = graph
-        self.properties = properties
-        self.mol = mol
 
 
 class RejectEntry(NamedTuple):
@@ -61,7 +48,7 @@ class RejectEntry(NamedTuple):
 Verdict = tuple[str | None, bool, str | None, Any]
 
 
-def accept_record(line: str) -> DatasetRecord:
+def accept_record(line: str) -> HeavyGraph:
     """Accept one record line or raise the error that rejects it.
 
     This is the one accept rule of every record command. The line must
@@ -72,8 +59,9 @@ def accept_record(line: str) -> DatasetRecord:
     return accept_molecule(parse_record_line(line))
 
 
-def accept_molecule(mol: MolGraph) -> DatasetRecord:
-    """The graph half of accept_record, also used for molfiles.
+def accept_molecule(mol: HeavyGraph) -> HeavyGraph:
+    """The graph half of accept_record, also used for molfiles; returns
+    heavy_graph(mol), which is mol itself for a record.
 
     Rejects a molecule whose hydrogens cannot be suppressed, that fails
     validate, that has an atom environment outside the level-0 code
@@ -97,9 +85,7 @@ def accept_molecule(mol: MolGraph) -> DatasetRecord:
     except MolspaceError as exc:
         exc.record_id = mol.id
         raise
-    return DatasetRecord(
-        id=mol.id, graph=g, properties=dict(mol.props), mol=mol.mol
-    )
+    return g
 
 
 def reject_reason(exc: MolspaceError) -> str:
@@ -108,7 +94,7 @@ def reject_reason(exc: MolspaceError) -> str:
 
 
 def judge(
-    compute: Callable[[DatasetRecord], Any], molfile: bool, texts: list[str]
+    compute: Callable[[HeavyGraph], Any], molfile: bool, texts: list[str]
 ) -> tuple[list[Verdict], list[tuple[type, str]]]:
     """Accept each record (line or molfile) and compute its value, or give
     why it is rejected; and the warnings raised, as (category, message).
@@ -159,16 +145,6 @@ def admit(
     return kept, rejects
 
 
-def record_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
-    """Number the record lines (from 1), skipping blanks and '#' comments."""
-    numbered: list[tuple[int, str]] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            numbered.append((line_no, line))
-    return numbered
-
-
 def _map_chunks(
     fn: Callable[[list[Any]], Any], items: list[Any], workers: int
 ) -> list[Any]:
@@ -189,7 +165,7 @@ def _map_chunks(
 
 def ingest(
     texts: list[str],
-    compute: Callable[[DatasetRecord], Any],
+    compute: Callable[[HeavyGraph], Any],
     workers: int = 1,
     molfile: bool = False,
 ) -> tuple[list[list[Any]], list[RejectEntry]]:
@@ -222,12 +198,11 @@ def ingest(
 
 
 def record_type_counts(
-    record: DatasetRecord, feature: str, mode: str = nbg.DEFAULT_MODE
+    g: HeavyGraph, feature: str, mode: str = nbg.DEFAULT_MODE
 ) -> Counter:
     """Multiset of feature types contributed by one record."""
     if feature not in TYPE_FEATURES:
         raise InvalidArgument(f"unknown feature {feature!r}")
-    g = record.graph
     counts: Counter = Counter()
     if feature in ("gcn0", "gcn1", "gcn2"):
         level = ("gcn0", "gcn1", "gcn2").index(feature)
@@ -245,16 +220,15 @@ def record_type_counts(
     return counts
 
 
-def coverage_features(record: DatasetRecord) -> tuple:
+def coverage_features(g: HeavyGraph) -> tuple:
     """The per-record value of coverage_report: (molecule, heavy atoms,
     cut-set level, level-0/1/2 codes, core signatures in each of
     nbg.MODES, scaffold signature or None)."""
-    g = record.graph
     cd = nbg.cut_decomposition(g)
     cores = nbg.nbg0_extract(g, cd.bridges)
     sigs = tuple([nbg.topology_of(*core, mode) for core in cores] for mode in nbg.MODES)
     scaffold = nbg.scaffold_topology(g, sigs[nbg.MODES.index(nbg.DEFAULT_MODE)])
-    return record.mol, g.na, cd.level, gcn.atom_codes(g), sigs, scaffold
+    return g.mol, g.na, cd.level, gcn.atom_codes(g), sigs, scaffold
 
 
 def coverage_report(features: list[tuple], name: str) -> dict[str, Any]:
@@ -385,12 +359,12 @@ class Histogram(NamedTuple):
     skipped: int
 
 
-def property_value(record: DatasetRecord, prop: str) -> float | None:
+def property_value(g: HeavyGraph, prop: str) -> float | None:
     """The record's Na (any case) or numeric property prop; None when it
     lacks the property."""
     if prop.lower() == "na":
-        return float(record.graph.na)
-    return record.properties.get(prop)
+        return float(g.na)
+    return g.props.get(prop)
 
 
 def check_bins(bins: int | str) -> None:
@@ -431,11 +405,10 @@ def histogram(values: list[float | None], bins: int | str = "unit") -> Histogram
     return Histogram(kind="width", entries=entries, used=len(used), skipped=skipped)
 
 
-def record_levels(record: DatasetRecord) -> tuple[str, int, int]:
+def record_levels(g: HeavyGraph) -> tuple[str, int, int]:
     """The per-record value of expansion_subsets: (id, radius-2 crowding
     level, cut-set level)."""
-    g = record.graph
-    return record.id, gcn.gcn2_level(g), nbg.cut_decomposition(g).level
+    return g.id, gcn.gcn2_level(g), nbg.cut_decomposition(g).level
 
 
 def check_levels(gcn2_max: int, nbg_max: int) -> None:
@@ -460,7 +433,7 @@ def expansion_subsets(
 
 
 def complement_types(
-    record: DatasetRecord, feature: str
+    g: HeavyGraph, feature: str
 ) -> tuple[str, int, Counter]:
     """The per-record value of structure_complement: (id, heavy atoms,
     record_type_counts). feature is one of gcn1, nbg_plus (whole-molecule
@@ -469,7 +442,7 @@ def complement_types(
         raise InvalidArgument(
             f"feature must be one of {COMPLEMENT_FEATURES}, got {feature!r}"
         )
-    return record.id, record.graph.na, record_type_counts(record, feature)
+    return g.id, g.na, record_type_counts(g, feature)
 
 
 def check_na_cap(na_cap: int | None) -> None:

@@ -6,7 +6,7 @@ import math
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from .errors import DegenerateWeights, InvalidArgument, MissingReference, ParseError
-from .molgraph import load_json
+from .molgraph import load_json, record_lines
 
 
 class OrbitalRecord(NamedTuple):
@@ -85,10 +85,7 @@ def load_orbital_lines(
     Comment lines starting with '#' and blank lines are skipped.
     """
     out: list[tuple[str, str | None, OrbitalRecord]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in record_lines(lines):
         try:
             obj = load_json(line)
         except ValueError as exc:
@@ -110,10 +107,7 @@ def load_orbital_lines(
 def load_reference_lines(lines: Iterable[str]) -> dict[str, float]:
     """Parse reference-energy lines: objects with ``element`` and ``energy``."""
     refs: dict[str, float] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in record_lines(lines):
         try:
             obj = load_json(line)
         except ValueError as exc:

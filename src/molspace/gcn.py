@@ -94,20 +94,12 @@ def format_gcn1(center: str, neighbor_codes: Iterable[str]) -> str:
     return center + "(" + ",".join(nbrs) + ")"
 
 
-def format_gcn2(center: str, neighbor_gcn1: Iterable[str]) -> str:
-    """Compose a level-2 code from a center and its neighbor level-1 codes."""
-    nbrs = sorted(neighbor_gcn1, reverse=True)
-    if not nbrs:
-        return center
-    return center + "[" + ",".join(nbrs) + "]"
-
-
 def atom_codes(g: HeavyGraph) -> tuple[list[str], list[str], list[str]]:
     """All three code levels for every atom.
 
-    Level 0 comes from level0_codes (table lookups). Levels 1 and 2 are
-    spelled out as format_gcn1 and format_gcn2 spell them, each from the
-    level below, in one comprehension per level.
+    Level 0 comes from level0_codes (table lookups), level 1 as
+    format_gcn1 spells it and level 2 likewise from level 1, in square
+    brackets: one comprehension per level.
     """
     gcn0 = level0_codes(g)
     nbrs = g.neighbors
@@ -128,8 +120,8 @@ def parse_gcn_code(code: str) -> tuple[str, tuple[str, ...]]:
     """Split a level-0/1/2 code into (center, neighbor strings).
 
     Level-2 neighbor strings are full level-1 codes; commas inside their
-    parentheses do not split. Composing the matching formatter over the
-    result reproduces the input for every enumerated code.
+    parentheses do not split. Rejoining the parts in the code's brackets
+    reproduces the input for every enumerated code.
     """
     center = code[:3]
     if not _CODE_RE.match(center):

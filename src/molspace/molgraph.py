@@ -10,9 +10,9 @@ Two wire formats are supported:
   counts from default valences) and the optional ``props`` (finite
   numeric properties) and ``mol`` (parent molecule name).
 
-Internally bonds are stored 0-indexed with ``i < j``. Graphs are immutable
-after construction; parsers enforce the structural invariants and reject
-multi-fragment input.
+Both parse to a HeavyGraph, with bonds 0-indexed and ``i < j``. Graphs are
+immutable after construction; parsers enforce the structural invariants
+and reject multi-fragment input.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import warnings
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping
 
 from .errors import (
     InvalidHydrogenCount,
@@ -48,44 +48,31 @@ class HydrogenClampWarning(UserWarning):
     """Inferred hydrogen count was negative and has been clamped to zero."""
 
 
-class MolGraph(NamedTuple):
-    """A parsed molecule, prior to hydrogen suppression.
-
-    ``elements`` may include ``"H"`` entries (explicit-hydrogen input).
-    When ``h_counts`` is set the graph came from the heavy-atom record
-    format, and it holds one hydrogen count per atom. ``props``
-    holds the record's (name, value) properties in input order and
-    ``mol`` names the parent molecule (the id when the record gives none).
-    ``neighbors`` is the parser's adjacency, handed on to the HeavyGraph.
-    """
-
-    id: str
-    elements: tuple[str, ...]
-    bonds: tuple[tuple[int, int, int], ...]
-    h_counts: tuple[int, ...] | None = None
-    props: tuple[tuple[str, float], ...] = ()
-    mol: str = ""
-    neighbors: Adjacency | None = None
-
-
 class HeavyGraph:
-    """Hydrogen-suppressed molecular graph.
+    """A molecule with its record fields.
 
-    Vertices are heavy atoms; each carries the count of hydrogens removed
-    from (or assigned to) it. ``neighbors`` is built from ``bonds`` unless
-    given. Never changed after construction, so safe to share between
-    threads.
+    Each atom carries a hydrogen count. A record's graph holds heavy atoms
+    only; a molfile's graph holds its hydrogens as atoms (with count 0)
+    until heavy_graph suppresses them. ``id`` names the record, ``props``
+    maps its property names to values in input order and ``mol`` names
+    the parent molecule (the id when the record gives none).
+    ``neighbors`` is built from ``bonds`` unless given. Never changed after
+    construction, so safe to share between threads.
     """
 
-    __slots__ = ("elements", "bonds", "h_count", "neighbors")
+    __slots__ = ("elements", "bonds", "h_count", "neighbors", "id", "props", "mol")
 
     def __init__(self, elements: tuple[str, ...],
                  bonds: tuple[tuple[int, int, int], ...], h_count: tuple[int, ...],
-                 neighbors: Adjacency | None = None) -> None:
+                 neighbors: Adjacency | None = None, id: str = "",
+                 props: dict[str, float] | None = None, mol: str = "") -> None:
         self.elements = elements
         self.bonds = bonds
         self.h_count = h_count
         self.neighbors = neighbors or _adjacency(len(elements), bonds)
+        self.id = id
+        self.props = {} if props is None else props
+        self.mol = mol
 
     @property
     def na(self) -> int:
@@ -150,8 +137,8 @@ def _connected(adj: Adjacency) -> bool:
     return len(seen) == len(adj)
 
 
-def parse_molfile(text: str) -> MolGraph:
-    """Parse a single V2000 connection table.
+def parse_molfile(text: str) -> HeavyGraph:
+    """Parse a single V2000 connection table, hydrogen atoms included.
 
     The title line names the molecule ("molfile" when it is blank), and
     errors carry that name as ``record_id``. Element symbols are read from
@@ -170,7 +157,7 @@ def parse_molfile(text: str) -> MolGraph:
         raise
 
 
-def _parse_molfile_blocks(name: str, lines: list[str]) -> MolGraph:
+def _parse_molfile_blocks(name: str, lines: list[str]) -> HeavyGraph:
     if len(lines) < 4:
         raise ParseError("molfile has fewer than 4 lines")
     counts = lines[3]
@@ -209,18 +196,11 @@ def _parse_molfile_blocks(name: str, lines: list[str]) -> MolGraph:
     adj = _adjacency(natoms, bonds)
     if not _connected(adj):
         raise ParseError("molfile describes more than one fragment")
-    return MolGraph(
-        id=name,
-        elements=tuple(elements),
-        bonds=bonds,
-        h_counts=None,
-        mol=name,
-        neighbors=adj,
-    )
+    return HeavyGraph(tuple(elements), bonds, (0,) * natoms, adj, name, {}, name)
 
 
-def parse_record_obj(obj: Mapping[str, Any]) -> MolGraph:
-    """Build a MolGraph from an already-decoded record object.
+def parse_record_obj(obj: Mapping[str, Any]) -> HeavyGraph:
+    """Build a HeavyGraph from an already-decoded record object.
 
     Errors raised after the id is read carry it as ``record_id``.
     """
@@ -234,7 +214,7 @@ def parse_record_obj(obj: Mapping[str, Any]) -> MolGraph:
         raise
 
 
-def _parse_record_fields(rec_id: str, obj: Mapping[str, Any]) -> MolGraph:
+def _parse_record_fields(rec_id: str, obj: Mapping[str, Any]) -> HeavyGraph:
     _utf8_text("id", rec_id)
     for key in ("elements", "bonds", "h"):
         if key not in obj:
@@ -305,7 +285,7 @@ def _parse_record_fields(rec_id: str, obj: Mapping[str, Any]) -> MolGraph:
     props_raw = obj.get("props", {})
     if not isinstance(props_raw, dict):
         raise ParseError("field 'props' must be an object")
-    props: list[tuple[str, float]] = []
+    props: dict[str, float] = {}
     for key, value in props_raw.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ParseError(f"property {key!r} is not numeric")
@@ -313,21 +293,14 @@ def _parse_record_fields(rec_id: str, obj: Mapping[str, Any]) -> MolGraph:
         number = float(value) if abs(value) <= sys.float_info.max else math.inf
         if not math.isfinite(number):
             raise ParseError(f"property {key!r} is not a finite number")
-        props.append((str(key), number))
+        props[str(key)] = number
 
-    return MolGraph(
-        id=rec_id,
-        elements=elements,
-        bonds=bonds,
-        h_counts=tuple(h_counts),
-        props=tuple(props),
-        mol=_utf8_text("mol", str(obj["mol"])) if "mol" in obj else rec_id,
-        neighbors=adj,
-    )
+    mol = _utf8_text("mol", str(obj["mol"])) if "mol" in obj else rec_id
+    return HeavyGraph(elements, bonds, tuple(h_counts), adj, rec_id, props, mol)
 
 
-def parse_record_line(line: str) -> MolGraph:
-    """Parse one structured-text record line.
+def parse_record_line(line: str) -> HeavyGraph:
+    """Parse one structured-text record line into a graph of heavy atoms.
 
     Text that load_json refuses is a ParseError: malformed, too deeply
     nested or holding an over-long integer. So are the field faults that
@@ -357,6 +330,16 @@ def load_json(text: str) -> Any:
         raise ValueError(f"an integer has more than {digits} digits") from None
 
 
+def record_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
+    """Number the record lines (from 1), skipping blanks and '#' comments."""
+    numbered: list[tuple[int, str]] = []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            numbered.append((line_no, line))
+    return numbered
+
+
 def _utf8_text(key: str, text: str) -> str:
     """The text, unless it holds a lone surrogate, which no output can
     encode (a JSON escape such as ``\\ud800`` decodes to one)."""
@@ -367,25 +350,26 @@ def _utf8_text(key: str, text: str) -> str:
     return text
 
 
-def heavy_graph(g: MolGraph) -> HeavyGraph:
-    """Suppress explicit hydrogens, or adopt stored implicit counts.
+def heavy_graph(g: HeavyGraph) -> HeavyGraph:
+    """Suppress H atoms into their heavy atoms' hydrogen counts, keeping
+    the record fields; g itself when it has none, as a record's graph.
 
-    For explicit-hydrogen input every H must be bonded to exactly one
-    heavy atom by a single bond; anything else (H-H bonds, isolated or
-    multivalent H) raises InvalidHydrogenTopology.
+    Every H must be bonded to exactly one heavy atom by a single bond;
+    anything else (H-H bonds, isolated or multivalent H) raises
+    InvalidHydrogenTopology.
     """
-    adj = g.neighbors or _adjacency(len(g.elements), g.bonds)
-    if g.h_counts is not None:
-        return HeavyGraph(g.elements, g.bonds, g.h_counts, adj)
-
+    if "H" not in g.elements:
+        return g
+    adj = g.neighbors
     index_map: dict[int, int] = {}
     elements: list[str] = []
+    h_count: list[int] = []
     for k, el in enumerate(g.elements):
         if el != "H":
             index_map[k] = len(elements)
             elements.append(el)
+            h_count.append(g.h_count[k])
 
-    h_count = [0] * len(elements)
     for k, el in enumerate(g.elements):
         if el != "H":
             continue
@@ -409,11 +393,8 @@ def heavy_graph(g: MolGraph) -> HeavyGraph:
         for i, j, order in g.bonds
         if g.elements[i] != "H" and g.elements[j] != "H"
     ]
-    return HeavyGraph(
-        elements=tuple(elements),
-        bonds=tuple(sorted(bonds)),
-        h_count=tuple(h_count),
-    )
+    return HeavyGraph(tuple(elements), tuple(sorted(bonds)), tuple(h_count),
+                      None, g.id, g.props, g.mol)
 
 
 # Per-element load caps used by validate(). Carbon, oxygen and fluorine are

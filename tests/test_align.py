@@ -123,7 +123,7 @@ def test_fit_composition_exact_recovery():
     def target(k, e0):
         _, elements, bonds = POOL[k]
         lines = [record_line("tmp", elements, bonds, props={"e0": 0.0})]
-        comp = accept_record(lines[0]).graph.composition()
+        comp = accept_record(lines[0]).composition()
         return c0 * e0 + sum(truth[el] * n for el, n in comp.items()) + b0
 
     table = pool_table(rng, target=target)

@@ -1,6 +1,7 @@
 """Command line behavior: formats, determinism, exit codes."""
 
 import argparse
+import io
 import json
 import math
 import multiprocessing
@@ -16,7 +17,9 @@ from molspace import cli, coverage
 from molspace.cli import build_parser, main
 from molspace.errors import InvalidArgument
 
-from conftest import WATER_MOLFILE, child_env, record_line
+from conftest import (
+    ETHANOL_MOLFILE, ETHANOL_RECORD, WATER_MOLFILE, child_env, record_line,
+)
 
 BENZOIC = record_line(
     "benzoic",
@@ -510,6 +513,62 @@ def test_names_must_be_distinct_and_non_empty(
     )
     assert (code, out) == (2, "")
     assert err == "usage error: --names must list distinct, non-empty names\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "a.jsonl"], "compare takes two or three inputs, got 1"),
+    (["compare", "a.jsonl", "b.jsonl", "c.jsonl", "d.jsonl"],
+     "compare takes two or three inputs, got 4"),
+    (["kl", "a.jsonl"], "kl takes at least two inputs, got 1"),
+], ids=["compare-1", "compare-4", "kl-1"])
+def test_input_count_is_checked_before_any_input_is_read(
+    argv, message, capsys, tmp_path, monkeypatch
+):
+    # None of the inputs exists: reading one would be a ParseError (exit 1).
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["complement"], "--train and --eval"),
+    (["compare", "-", "-", "--names", "a,b"], "input 1 and input 2"),
+    (["kl", "-", "{a}", "-", "--names", "a,b,c"], "input 1 and input 3"),
+    (["bind-energy"], "--input and --refs"),
+    (["align", "apply"], "--input and --model"),
+    (["align", "stats"], "--input and --model"),
+], ids=["complement", "compare", "kl", "bind-energy", "align-apply", "align-stats"])
+def test_standard_input_for_two_inputs_is_usage_error(
+    argv, names, capsys, tmp_path, monkeypatch
+):
+    stdin = io.TextIOWrapper(io.BytesIO(f"{METHANE}\n{ETHANE}\n".encode()))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    argv = [arg.format(a=write(tmp_path, "a.jsonl", WATER)) for arg in argv]
+    message = f"standard input can be read once, but {names} name '-'"
+    assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
+    assert stdin.buffer.tell() == 0
+
+
+def test_align_fit_reads_only_its_input_from_standard_input(
+    capsys, tmp_path, monkeypatch
+):
+    stdin = io.TextIOWrapper(io.BytesIO(f"{METHANE}\n{ETHANE}\n".encode()))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, _ = run(capsys, "align", "fit", "--mode", "plain")
+    assert code == 0
+    assert "n_records\t2" in out.splitlines()
+
+
+def test_molfile_and_record_of_one_molecule_encode_alike(capsys, tmp_path):
+    mol = tmp_path / "ethanol.mol"
+    mol.write_text(ETHANOL_MOLFILE, encoding="utf-8")
+    code, from_molfile, _ = run(
+        capsys, "encode", "--input", str(mol), "--input-format", "molfile")
+    assert code == 0
+    data = write(tmp_path, "ethanol.jsonl", json.dumps(ETHANOL_RECORD))
+    code, from_record, _ = run(capsys, "encode", "--input", data)
+    assert code == 0
+    assert body_lines(from_molfile) == body_lines(from_record)
+    assert json.loads(body_lines(from_record)[0])["gcn0"] == ["C13", "C22", "O11"]
 
 
 def test_kl_matrix_output(capsys, tmp_path):

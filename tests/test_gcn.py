@@ -14,7 +14,6 @@ from molspace.gcn import (
     enumerate_gcn0,
     enumerate_gcn1,
     format_gcn1,
-    format_gcn2,
     gcn2_level,
     level0_codes,
     multichoose,
@@ -74,12 +73,6 @@ def test_gcn1_sorts_neighbors_descending():
     assert format_gcn1("C04", []) == "C04"
     g = build(["C", "C", "O"], [(1, 2, 1), (2, 3, 1)])
     assert atom_codes(g)[1][1] == "C22(O11,C13)"
-
-
-def test_gcn2_brackets_and_descending_sort():
-    inner = ["C22(O11,C13)", "C31(C40,C22,C13)"]
-    assert format_gcn2("C21", inner) == "C21[C31(C40,C22,C13),C22(O11,C13)]"
-    assert format_gcn2("F01", []) == "F01"
 
 
 def spelled_codes(g, i):

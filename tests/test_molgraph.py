@@ -12,14 +12,17 @@ from molspace.errors import (
     UnsupportedElement,
 )
 from molspace.molgraph import (
+    HeavyGraph,
     HydrogenClampWarning,
     heavy_graph,
     parse_molfile,
+    parse_record_line,
     parse_record_obj,
     validate,
 )
 
 from conftest import (
+    ETHANOL_MOLFILE,
     METHANE_MOLFILE,
     WATER_MOLFILE,
     benzene,
@@ -116,6 +119,29 @@ def test_molfile_without_hydrogens_reads_bare_heavy_atoms():
     g = heavy_graph(parse_molfile(METHANE_MOLFILE))
     assert g.elements == ("C",)
     assert g.h_count == (0,)
+
+
+def test_a_record_is_its_own_hydrogen_suppressed_graph():
+    g = parse_record_line(
+        '{"id":"r","elements":["C","O"],"bonds":[[1,2,1]],"h":"auto",'
+        '"props":{"e":-1.5},"mol":"m"}')
+    assert heavy_graph(g) is g
+    assert (g.id, g.props, g.mol, g.h_count) == ("r", {"e": -1.5}, "m", (3, 1))
+
+
+def test_record_fields_survive_hydrogen_suppression_of_a_molfile():
+    g = parse_molfile(ETHANOL_MOLFILE)
+    assert g.elements.count("H") == 6
+    hg = heavy_graph(g)
+    assert (hg.elements, hg.bonds, hg.h_count) == (
+        ("C", "C", "O"), ((0, 1, 1), (1, 2, 1)), (3, 2, 1))
+    assert (hg.id, hg.mol, hg.props) == ("ethanol", "ethanol", {})
+    # A graph built by hand keeps its properties and its heavy atoms'
+    # own hydrogen counts.
+    built = HeavyGraph(("C", "H"), ((0, 1, 1),), (2, 0), None, "x", {"e": 1.0}, "p")
+    hg = heavy_graph(built)
+    assert (hg.elements, hg.h_count) == (("C",), (3,))
+    assert (hg.id, hg.props, hg.mol) == ("x", {"e": 1.0}, "p")
 
 
 def test_molfile_errors():
