@@ -15,7 +15,7 @@ RankDeficient instead of silently pseudo-inverting.
 
 from __future__ import annotations
 
-from math import sqrt
+from math import inf, sqrt
 from typing import Iterable, Mapping, NamedTuple
 
 from .coverage import record_type_counts
@@ -103,6 +103,12 @@ def _canonical_pairs(
     return checked
 
 
+def check_non_negative(name: str, value: float) -> None:
+    """A ridge or outlier threshold is finite and at least 0 (NaN is not)."""
+    if not 0 <= value < inf:
+        raise InvalidArgument(f"{name} must be finite and non-negative, got {value}")
+
+
 def fit(
     pairs: Iterable[tuple[FeatureVector, float | None]],
     mode: str,
@@ -118,8 +124,7 @@ def fit(
     # numpy's only use: imported here so that no other command loads it.
     import numpy as np
 
-    if ridge < 0:
-        raise InvalidArgument(f"ridge must be non-negative, got {ridge}")
+    check_non_negative("ridge", ridge)
     data = _canonical_pairs(pairs)
     if not data:
         raise InvalidArgument("fit requires at least one pair")
@@ -187,6 +192,7 @@ def residual_stats(
     threshold: float = DEFAULT_OUTLIER_THRESHOLD,
 ) -> ResidualStats:
     """MAE, RMSD and outlier count of model predictions against targets."""
+    check_non_negative("threshold", threshold)
     abs_sum = 0.0
     sq_sum = 0.0
     outliers = 0

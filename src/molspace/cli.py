@@ -8,10 +8,14 @@ of every input. Exit codes: 0 success, 1 data errors (rejected records,
 missing references), 2 usage errors.
 
 ``build_parser`` declares every setting once: its default, type and
-choices. A structured-text config file (``--config``) may supply any long
-option of the command; its values are checked against that same
-declaration, so a value a flag could not take is a usage error. Explicit
-flags win over the file, which wins over the declared defaults.
+choices. A numeric setting's type converts and checks its value, so a
+bad value is a usage error before any input is read. A command declares
+only the settings it reads: ``--rejects`` and ``--workers`` belong to the
+commands that run the record pass. A structured-text config file
+(``--config``) may supply any long option of the command; its values are
+checked against that same declaration, so a value a flag could not take
+is a usage error. Explicit flags win over the file, which wins over the
+declared defaults.
 """
 
 from __future__ import annotations
@@ -219,7 +223,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_count_gcn2(args: argparse.Namespace) -> int:
     source = read_input(args.gcn1_list)
     codes = [code for _, code in record_lines(source.text.splitlines())]
-    elements = _parse_elements(args.elements) if args.elements else None
+    elements = None if args.elements is None else _parse_elements(args.elements)
     total = gcn.count_gcn2(codes, elements)
     return _finish(args, [str(total)], [])
 
@@ -302,7 +306,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_kl(args: argparse.Namespace) -> int:
-    cov.check_epsilon(args.epsilon)
     if len(args.inputs) < 2:
         raise InvalidArgument(f"kl takes at least two inputs, got {len(args.inputs)}")
     tables, rejects, sources = _type_tables(args)
@@ -317,7 +320,6 @@ def cmd_kl(args: argparse.Namespace) -> int:
 
 def cmd_hist(args: argparse.Namespace) -> int:
     bins = args.bins if args.bins == "unit" else int(args.bins)
-    cov.check_bins(bins)
     compute = partial(cov.property_value, prop=args.property)
     (values,), rejects, sources = _record_pass(args, [args.input], compute)
     hist = cov.histogram(values, bins)
@@ -332,7 +334,6 @@ def cmd_hist(args: argparse.Namespace) -> int:
 
 
 def cmd_subset(args: argparse.Namespace) -> int:
-    cov.check_levels(args.gcn2_level, args.nbg_level)
     (levels,), rejects, sources = _record_pass(args, [args.input], cov.record_levels)
     ids = cov.expansion_subsets(levels, args.gcn2_level, args.nbg_level)
     echo = {"gcn2_level": args.gcn2_level, "nbg_level": args.nbg_level}
@@ -342,7 +343,6 @@ def cmd_subset(args: argparse.Namespace) -> int:
 
 
 def cmd_complement(args: argparse.Namespace) -> int:
-    cov.check_na_cap(args.na_cap)
     _check_stdin({"--train": args.train, "--eval": args.eval})
     compute = partial(cov.complement_types, feature=args.feature)
     (train, evals), rejects, sources = _record_pass(
@@ -482,37 +482,42 @@ def cmd_align(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _number(name: str, value: Any, kind: Callable[[Any], Any] = int) -> Any:
-    """Convert a numeric setting; a value that does not convert is a usage
-    error, not a traceback. A bool is no number, and an integer setting
-    takes no fractional part."""
+# The type of every numeric option is _number with the option's name and
+# rule, the one place where a setting is converted and checked: argparse
+# applies it to a flag's text and _config_value to a config value. It
+# raises InvalidArgument, which argparse lets through, so both sources give
+# the same usage error, before any input is read.
+
+
+def _number(
+    name: str, rule: Callable[[str, Any], None], value: Any, kind: Callable = int
+) -> Any:
+    """Convert a numeric setting, then check it with rule(name, number),
+    which raises InvalidArgument naming the setting; a value that
+    does not convert is a usage error, not a traceback. A bool is no
+    number, and an integer setting takes no fractional part."""
     try:
         if isinstance(value, bool) or (
             kind is int and isinstance(value, float) and not value.is_integer()
         ):
             raise ValueError
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
         noun = "an integer" if kind is int else "a number"
         raise InvalidArgument(f"{name} must be {noun}, got {value!r}") from None
+    rule(name, number)
+    return number
 
 
-# Option types that argparse applies to a flag's text and _config_value to
-# a config value. Each raises InvalidArgument, which argparse lets through,
-# so both sources give the same usage error.
-
-
-def _workers(value: Any) -> int:
-    count = _number("workers", value)
+def _check_workers(name: str, count: int) -> None:
     if count < 1:
-        raise InvalidArgument(f"workers must be at least 1, got {count}")
-    return count
+        raise InvalidArgument(f"{name} must be at least 1, got {count}")
 
 
 def _bins(value: Any) -> Any:
     """'unit' or a bin count, kept as given: the header echoes it."""
     if value != "unit":
-        _number("bins", value)
+        _number("bins", cov.check_bins, value)
     return value
 
 
@@ -523,8 +528,6 @@ def _config_value(action: argparse.Action, value: Any) -> Any:
         if value not in action.choices:
             choices = ", ".join(action.choices)
             raise InvalidArgument(f"{name} must be one of {choices}, got {value!r}")
-    elif action.type in (int, float):
-        value = _number(name, value, action.type)
     elif action.type is not None:
         value = action.type(value)
     elif action.nargs == 0:
@@ -535,13 +538,16 @@ def _config_value(action: argparse.Action, value: Any) -> Any:
     return value
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+def _add_common(sp: argparse.ArgumentParser, record_pass: bool = True) -> None:
+    """--out and --config; and, for a command that runs the record pass,
+    --rejects and --workers."""
     sp.add_argument("--out", default="-",
                     help="output path, '-' for stdout (default)")
-    sp.add_argument("--rejects", help="path for reject entries (default stderr)")
     sp.add_argument("--config", help="structured-text config file")
-    sp.add_argument("--workers", type=_workers, default=1,
-                    help="worker process count, at least 1")
+    if record_pass:
+        sp.add_argument("--rejects", help="path for reject entries (default stderr)")
+        sp.add_argument("--workers", type=partial(_number, "workers", _check_workers),
+                        default=1, help="worker process count, at least 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -576,19 +582,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("level", choices=("gcn0", "gcn1"))
     sp.add_argument("--elements", default="CNOF",
                     help="element subset, e.g. CNOF or OF")
-    _add_common(sp)
+    _add_common(sp, record_pass=False)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("count-gcn2", help="exact level-2 code count")
     sp.add_argument("--gcn1-list", dest="gcn1_list", default="-",
                     help="file of level-1 codes, one per line")
     sp.add_argument("--elements")
-    _add_common(sp)
+    _add_common(sp, record_pass=False)
     sp.set_defaults(func=cmd_count_gcn2)
 
     sp = sub.add_parser("generate-nbg0", help="enumerate bridge-free cores")
-    sp.add_argument("--max-heavy", dest="max_heavy", type=int, default=3)
-    _add_common(sp)
+    sp.add_argument("--max-heavy", dest="max_heavy", default=3,
+                    type=partial(_number, "max_heavy", nbg.check_max_heavy))
+    _add_common(sp, record_pass=False)
     sp.set_defaults(func=cmd_generate_nbg0)
 
     sp = sub.add_parser("coverage", help="dataset inventory report")
@@ -610,7 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("inputs", nargs="+")
     sp.add_argument("--feature", choices=cov.TYPE_FEATURES, default="gcn1")
     sp.add_argument("--mode", choices=nbg.MODES, default=nbg.DEFAULT_MODE)
-    sp.add_argument("--epsilon", type=float, default=1e-9)
+    sp.add_argument("--epsilon", default=1e-9,
+                    type=partial(_number, "epsilon", cov.check_epsilon, kind=float))
     sp.add_argument("--names")
     _add_common(sp)
     sp.set_defaults(func=cmd_kl)
@@ -625,8 +633,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("subset", help="records within level thresholds")
     sp.add_argument("--input", default="-")
-    sp.add_argument("--gcn2-level", dest="gcn2_level", type=int, default=16)
-    sp.add_argument("--nbg-level", dest="nbg_level", type=int, default=22)
+    sp.add_argument("--gcn2-level", dest="gcn2_level", default=16,
+                    type=partial(_number, "gcn2_level", cov.check_limit))
+    sp.add_argument("--nbg-level", dest="nbg_level", default=22,
+                    type=partial(_number, "nbg_level", cov.check_limit))
     _add_common(sp)
     sp.set_defaults(func=cmd_subset)
 
@@ -634,7 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--train", default="-")
     sp.add_argument("--eval", default="-")
     sp.add_argument("--feature", choices=cov.COMPLEMENT_FEATURES, default="gcn1")
-    sp.add_argument("--na-cap", dest="na_cap", type=int)
+    sp.add_argument("--na-cap", dest="na_cap",
+                    type=partial(_number, "na_cap", cov.check_limit))
     _add_common(sp)
     sp.set_defaults(func=cmd_complement)
 
@@ -642,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--orbitals", default="-")
     sp.add_argument("--stats", action="store_true",
                     help="emit per-group statistics instead of per-atom values")
-    _add_common(sp)
+    _add_common(sp, record_pass=False)
     sp.set_defaults(func=cmd_egcn0)
 
     sp = sub.add_parser("bind-energy", help="total minus atomic references")
@@ -654,16 +665,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_bind_energy)
 
     sp = sub.add_parser("align", help="linear cross-protocol alignment")
+    non_negative = align_mod.check_non_negative
     sp.add_argument("action", choices=("fit", "apply", "stats"))
     sp.add_argument("--input", default="-")
     sp.add_argument("--mode", choices=align_mod.MODES, default="composition")
-    sp.add_argument("--ridge", type=float, default=align_mod.DEFAULT_RIDGE)
+    sp.add_argument("--ridge", default=align_mod.DEFAULT_RIDGE,
+                    type=partial(_number, "ridge", non_negative, kind=float))
     sp.add_argument("--e0", default="e0", help="source-protocol property name")
     sp.add_argument("--e1", default="e1", help="target-protocol property name")
     sp.add_argument("--model", default="-",
                     help="fitted model file (apply/stats)")
-    sp.add_argument("--threshold", type=float,
-                    default=align_mod.DEFAULT_OUTLIER_THRESHOLD,
+    sp.add_argument("--threshold", default=align_mod.DEFAULT_OUTLIER_THRESHOLD,
+                    type=partial(_number, "threshold", non_negative, kind=float),
                     help="outlier threshold")
     _add_common(sp)
     sp.set_defaults(func=cmd_align)

@@ -305,11 +305,9 @@ def overlap_report(tables: list[Table]) -> dict[str, int]:
     return regions
 
 
-def check_epsilon(epsilon: float) -> None:
+def check_epsilon(name: str, epsilon: float) -> None:
     if not 0 < epsilon < math.inf:
-        raise InvalidArgument(
-            f"epsilon must be positive and finite, got {epsilon}"
-        )
+        raise InvalidArgument(f"{name} must be positive and finite, got {epsilon}")
 
 
 def kl_matrix(
@@ -323,7 +321,7 @@ def kl_matrix(
     rows index the reference distribution Q. A table with no type
     occurrences raises EmptyDistribution, naming the feature counted.
     """
-    check_epsilon(epsilon)
+    check_epsilon("epsilon", epsilon)
     if len(tables) < 2:
         raise InvalidArgument("kl_matrix takes at least two tables")
     counts = []
@@ -367,9 +365,9 @@ def property_value(g: HeavyGraph, prop: str) -> float | None:
     return g.props.get(prop)
 
 
-def check_bins(bins: int | str) -> None:
+def check_bins(name: str, bins: int | str) -> None:
     if bins != "unit" and (not isinstance(bins, int) or bins < 1):
-        raise InvalidArgument("bins must be 'unit' or a positive integer")
+        raise InvalidArgument(f"{name} must be 'unit' or a positive integer")
 
 
 def histogram(values: list[float | None], bins: int | str = "unit") -> Histogram:
@@ -380,7 +378,7 @@ def histogram(values: list[float | None], bins: int | str = "unit") -> Histogram
     Records lacking the property (None) are skipped and counted as such;
     bin counts always sum to the number of records used.
     """
-    check_bins(bins)
+    check_bins("bins", bins)
     used = [v for v in values if v is not None]
     skipped = len(values) - len(used)
     if bins == "unit":
@@ -411,9 +409,10 @@ def record_levels(g: HeavyGraph) -> tuple[str, int, int]:
     return g.id, gcn.gcn2_level(g), nbg.cut_decomposition(g).level
 
 
-def check_levels(gcn2_max: int, nbg_max: int) -> None:
-    if gcn2_max < 0 or nbg_max < 0:
-        raise InvalidArgument("level thresholds must be non-negative")
+def check_limit(name: str, limit: int | None) -> None:
+    """A level threshold or heavy-atom cap is at least 0; None is no cap."""
+    if limit is not None and limit < 0:
+        raise InvalidArgument(f"{name} must be non-negative, got {limit}")
 
 
 def expansion_subsets(
@@ -425,7 +424,8 @@ def expansion_subsets(
     gcn2_max and its cut-set level is at most nbg_max; the subsets are
     monotone in both thresholds.
     """
-    check_levels(gcn2_max, nbg_max)
+    check_limit("gcn2_max", gcn2_max)
+    check_limit("nbg_max", nbg_max)
     return {
         rec_id for rec_id, crowding, cut_level in levels
         if crowding <= gcn2_max and cut_level <= nbg_max
@@ -445,11 +445,6 @@ def complement_types(
     return g.id, g.na, record_type_counts(g, feature)
 
 
-def check_na_cap(na_cap: int | None) -> None:
-    if na_cap is not None and na_cap < 0:
-        raise InvalidArgument(f"na_cap must be non-negative, got {na_cap}")
-
-
 def structure_complement(
     train: list[tuple[str, int, Counter]],
     evals: list[tuple[str, int, Counter]],
@@ -462,7 +457,7 @@ def structure_complement(
     cap before the comparison; a negative cap would drop every record, so
     it raises InvalidArgument.
     """
-    check_na_cap(na_cap)
+    check_limit("na_cap", na_cap)
     known: set[str] = set().union(*(types for _, _, types in train))
     return {
         rec_id for rec_id, na, types in evals

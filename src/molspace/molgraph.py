@@ -149,7 +149,7 @@ def parse_molfile(text: str) -> HeavyGraph:
     bad counts, duplicate bonds, multiple fragments).
     """
     lines = text.splitlines()
-    name = (lines[0].strip() if lines else "") or "molfile"
+    name = _one_line_id((lines[0].strip() if lines else "") or "molfile")
     try:
         return _parse_molfile_blocks(name, lines)
     except MolspaceError as exc:
@@ -206,7 +206,7 @@ def parse_record_obj(obj: Mapping[str, Any]) -> HeavyGraph:
     """
     if "id" not in obj:
         raise ParseError("record missing field 'id'")
-    rec_id = str(obj["id"])
+    rec_id = _one_line_id(str(obj["id"]))
     try:
         return _parse_record_fields(rec_id, obj)
     except MolspaceError as exc:
@@ -338,6 +338,19 @@ def record_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
         if line and not line.startswith("#"):
             numbered.append((line_no, line))
     return numbered
+
+
+# A tab, and every character str.splitlines breaks at.
+_LINE_BREAKS = frozenset("\t\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _one_line_id(rec_id: str) -> str:
+    """The id, unless it holds a tab or a line break, which would split or
+    widen the id's output line. The error carries no record_id, so the
+    reject line stays one line."""
+    if not _LINE_BREAKS.isdisjoint(rec_id):
+        raise ParseError("field 'id' holds a tab or a line break")
+    return rec_id
 
 
 def _utf8_text(key: str, text: str) -> str:

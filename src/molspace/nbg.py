@@ -563,6 +563,12 @@ def _bond_orders(
     return out
 
 
+def check_max_heavy(name: str, max_heavy: int) -> None:
+    if not MIN_GENERATE_HEAVY <= max_heavy <= MAX_GENERATE_HEAVY:
+        bounds = f"[{MIN_GENERATE_HEAVY}, {MAX_GENERATE_HEAVY}]"
+        raise InvalidArgument(f"{name} must lie in {bounds}, got {max_heavy}")
+
+
 def nbg0_generate(max_heavy: int) -> list[str]:
     """Enumerate bridge-free all-carbon cores up to max_heavy atoms.
 
@@ -570,11 +576,7 @@ def nbg0_generate(max_heavy: int) -> list[str]:
     signature is seen; its cores are its bond-order assignments.
     Returns the sorted signatures.
     """
-    if not MIN_GENERATE_HEAVY <= max_heavy <= MAX_GENERATE_HEAVY:
-        raise InvalidArgument(
-            f"max_heavy must lie in "
-            f"[{MIN_GENERATE_HEAVY}, {MAX_GENERATE_HEAVY}], got {max_heavy}"
-        )
+    check_max_heavy("max_heavy", max_heavy)
     stack: list[Skeleton] = [(3, ((0, 1), (0, 2), (1, 2)))]
     seen: set[str] = set()
     cores: list[str] = []

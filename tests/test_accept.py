@@ -309,6 +309,12 @@ MALFORMED_LINES = {
         '{"id": "m", "mol": "\\udfff", "elements": ["C"], "bonds": [], '
         '"h": "auto"}',
         "id=m ParseError: field 'mol' is not encodable as UTF-8"),
+    "line-break-id": (
+        '{"id": "x\\ny", "elements": ["C"], "bonds": [], "h": "auto"}',
+        "id=? ParseError: field 'id' holds a tab or a line break"),
+    "tab-id": (
+        '{"id": "p\\tq", "elements": ["C"], "bonds": [], "h": "auto"}',
+        "id=? ParseError: field 'id' holds a tab or a line break"),
 }
 GOOD_IDS = ["ok1", "ok2", "ok3"]
 
@@ -348,6 +354,26 @@ def test_a_malformed_line_is_one_reject_line(names, command, tmp_path, capsys):
     path, expected = fault_file(tmp_path, names)
     out, rejects = tmp_path / "out.txt", tmp_path / "rejects.txt"
     argv, check = FAULT_COMMANDS[command]
+
+    code = main(argv + ["--input", str(path), "--out", str(out),
+                        "--rejects", str(rejects)])
+
+    assert code == 1
+    assert check(out)
+    assert rejects.read_text(encoding="utf-8").splitlines() == expected
+    assert capsys.readouterr().err == "2 record(s) rejected\n"
+
+
+@pytest.mark.parametrize("argv, check", [
+    (["subset"], lambda out: body(out) == GOOD_IDS),
+    FAULT_COMMANDS["cutset"],
+], ids=["subset", "cutset"])
+def test_an_id_with_a_tab_or_a_line_break_is_one_reject_line(
+    argv, check, tmp_path, capsys
+):
+    # Such an id would split its output line or add a column.
+    path, expected = fault_file(tmp_path, ("line-break-id", "tab-id"))
+    out, rejects = tmp_path / "out.txt", tmp_path / "rejects.txt"
 
     code = main(argv + ["--input", str(path), "--out", str(out),
                         "--rejects", str(rejects)])

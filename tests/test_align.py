@@ -287,3 +287,14 @@ def test_fit_input_validation():
         fit([(FeatureVector(e0=1.0, counts={}), 1.0)], "plain", ridge=-1e-3)
     with pytest.raises(InvalidArgument):
         fit([(FeatureVector(e0=1.0, counts={}), 1.0)], "magic")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_ridge_and_threshold_are_finite_and_non_negative(value):
+    pairs = [(FeatureVector(e0=1.0, counts={}), 1.0),
+             (FeatureVector(e0=2.0, counts={}), 2.0)]
+    with pytest.raises(InvalidArgument, match="ridge must be finite"):
+        fit(pairs, "plain", ridge=value)
+    model = fit(pairs, "plain")
+    with pytest.raises(InvalidArgument, match="threshold must be finite"):
+        residual_stats(model, pairs, value)

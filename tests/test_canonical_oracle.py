@@ -240,3 +240,29 @@ def test_star_search_is_pruned(monkeypatch):
     # Without pruning the search individualizes the six leaves in all
     # 6! orders: 1,237 refinements. Orbit pruning needs 41.
     assert refinements[0] < 100
+
+
+# Alkane constitutional isomers with 1 to 13 carbons (Cayley 1875; OEIS A000602).
+ALKANE_ISOMERS = [1, 1, 1, 2, 3, 5, 9, 18, 35, 75, 159, 355, 802]
+
+
+def test_alkane_counts_match_the_published_isomer_numbers():
+    """Grow every tree of maximum degree 4 one leaf at a time, keeping one
+    tree per signature: a merge of two non-isomorphic trees would lower a
+    count, a missed isomorphism would raise it."""
+    trees = [[]]
+    counts = [1]
+    for n in range(2, len(ALKANE_ISOMERS) + 1):
+        grown = {}
+        for edges in trees:
+            degree = [0] * (n - 1)
+            for a, b, _ in edges:
+                degree[a] += 1
+                degree[b] += 1
+            for v in range(n - 1):
+                if degree[v] < 4:
+                    tree = edges + [(v, n - 1, 1)]
+                    grown.setdefault(canonical_signature(("C",) * n, tree), tree)
+        trees = list(grown.values())
+        counts.append(len(trees))
+    assert counts == ALKANE_ISOMERS

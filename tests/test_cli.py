@@ -358,6 +358,82 @@ def test_kl_epsilon_must_be_positive_and_finite(
     assert (code, out, err) == (2, "", f"usage error: {message}\n")
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value, shown", [
+    ("nan", "nan"), ("inf", "inf"), ("-1", "-1.0"),
+])
+@pytest.mark.parametrize("action, name", [
+    ("fit", "ridge"), ("stats", "threshold"),
+])
+def test_ridge_and_threshold_must_be_finite_and_non_negative(
+    action, name, value, shown, source, capsys, tmp_path
+):
+    # The inputs do not exist: the setting is refused before any is read.
+    missing = str(tmp_path / "missing.jsonl")
+    argv = ["align", action, "--input", missing, "--model", missing]
+    if source == "flag":
+        argv.append(f"--{name}={value}")
+    else:
+        argv += ["--config", write(tmp_path, "cfg.json", json.dumps({name: value}))]
+    message = f"{name} must be finite and non-negative, got {shown}"
+    assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "gcn0"], ["count-gcn2", "--gcn1-list", "{codes}"],
+], ids=["enumerate", "count-gcn2"])
+def test_an_empty_element_set_is_usage_error(argv, capsys, tmp_path):
+    codes = write(tmp_path, "codes.txt", "O02", "O11[C13]")
+    argv = [arg.format(codes=codes) for arg in argv]
+    assert run(capsys, *argv, "--elements", "") == (
+        2, "", "usage error: element set must not be empty\n"
+    )
+
+
+RECORD_COMMANDS = {"encode", "cutset", "coverage", "compare", "kl", "hist",
+                   "subset", "complement", "bind-energy", "align"}
+
+
+def test_only_the_record_commands_declare_rejects_and_workers():
+    for name in ("rejects", "workers"):
+        assert {c for c, a in _options() if a.dest == name} == RECORD_COMMANDS
+
+
+def test_a_command_without_a_record_pass_takes_no_workers(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "gcn0", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+NUMERIC_OPTIONS = [(c, a) for c, a in _options() if a.type is not None]
+
+
+def test_the_numeric_settings_have_their_own_types():
+    assert {a.dest for _, a in NUMERIC_OPTIONS} == {
+        "workers", "max_heavy", "epsilon", "bins", "gcn2_level", "nbg_level",
+        "na_cap", "ridge", "threshold",
+    }
+    assert not any(a.type in (int, float) for _, a in NUMERIC_OPTIONS)
+
+
+@pytest.mark.parametrize(
+    "command, action", NUMERIC_OPTIONS,
+    ids=[f"{c}-{a.dest}" for c, a in NUMERIC_OPTIONS],
+)
+def test_a_bad_numeric_flag_and_config_value_give_the_same_usage_error(
+    command, action, capsys, tmp_path
+):
+    argv = [command, *POSITIONALS.get(command, [])]
+    by_flag = run_on_two_files(
+        capsys, tmp_path, argv + [action.option_strings[0], "x"], None
+    )
+    by_config = run_on_two_files(capsys, tmp_path, argv, {action.dest: "x"})
+    assert by_flag == by_config
+    assert by_flag[:2] == (2, "")
+    assert by_flag[2].startswith(f"usage error: {action.dest} must be ")
+
+
 def test_generate_nbg0_header_and_sorted_body(capsys):
     code, out, _ = run(capsys, "generate-nbg0", "--max-heavy", "3")
     assert code == 0

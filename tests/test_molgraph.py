@@ -28,6 +28,7 @@ from conftest import (
     benzene,
     build,
     ethane,
+    molfile,
     random_molecule_record,
     record,
 )
@@ -195,3 +196,25 @@ def test_random_molecules_always_validate(seed=11):
     for idx in range(300):
         g = heavy_graph(parse_record_obj(random_molecule_record(rng, idx)))
         assert validate(g) == []
+
+
+# A tab, and every character that str.splitlines breaks a line at.
+LINE_BREAKS = "\t\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("char", LINE_BREAKS, ids=[hex(ord(c)) for c in LINE_BREAKS])
+def test_an_id_with_a_tab_or_a_line_break_is_rejected_without_its_id(char):
+    with pytest.raises(ParseError, match="holds a tab or a line break") as exc:
+        parse_record_obj(record(f"a{char}b", ["C"], []))
+    assert exc.value.record_id is None
+
+
+def test_the_line_breaks_are_every_character_splitlines_breaks_at():
+    breaks = {c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) > 1}
+    assert breaks == set(LINE_BREAKS) - {"\t"}
+
+
+def test_a_molfile_title_with_a_tab_is_rejected():
+    with pytest.raises(ParseError, match="holds a tab or a line break"):
+        parse_molfile(molfile("eth\tanol", ["C", "C"], [(1, 2, 1)]))
+    assert parse_molfile(molfile(" ethanol\t", ["C", "C"], [(1, 2, 1)])).id == "ethanol"
