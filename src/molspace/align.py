@@ -15,7 +15,7 @@ RankDeficient instead of silently pseudo-inverting.
 
 from __future__ import annotations
 
-from math import inf, sqrt
+from math import inf, isfinite, sqrt
 from typing import Iterable, Mapping, NamedTuple
 
 from .coverage import record_type_counts
@@ -143,19 +143,22 @@ def fit(
         x[row, dim - 1] = 1.0
         y[row] = target
 
-    gram = x.T @ x
-    penalty = np.zeros((dim, dim))
-    for idx in range(dim - 1):
-        penalty[idx, idx] = ridge
-    system = gram + penalty
-    if ridge == 0.0 and np.linalg.matrix_rank(system) < dim:
-        raise RankDeficient(
-            "normal matrix is singular; supply a positive ridge"
-        )
-    try:
-        beta = np.linalg.solve(system, x.T @ y)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient(str(exc)) from exc
+    # Overflow gives a fit that is not finite, rejected below: no numpy
+    # warning, which the interpreter's filters could turn into an error.
+    with np.errstate(all="ignore"):
+        gram = x.T @ x
+        penalty = np.zeros((dim, dim))
+        for idx in range(dim - 1):
+            penalty[idx, idx] = ridge
+        system = gram + penalty
+        try:
+            if ridge == 0.0 and np.linalg.matrix_rank(system) < dim:
+                raise RankDeficient(
+                    "normal matrix is singular; supply a positive ridge"
+                )
+            beta = np.linalg.solve(system, x.T @ y)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficient(str(exc)) from exc
 
     model = AlignmentModel(
         mode=mode,
@@ -168,7 +171,11 @@ def fit(
         rmsd=0.0,
     )
     stats = residual_stats(model, data)
-    return model._replace(mae=stats.mae, rmsd=stats.rmsd)
+    model = model._replace(mae=stats.mae, rmsd=stats.rmsd)
+    values = [model.c0, model.b0, model.mae, model.rmsd, *model.coefficients.values()]
+    if not all(map(isfinite, values)):
+        raise RankDeficient("fit has a coefficient or residual that is not finite")
+    return model
 
 
 def apply(model: AlignmentModel, fv: FeatureVector) -> float:
@@ -236,9 +243,16 @@ def save_model(model: AlignmentModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite(name: str, text: str) -> float:
+    value = float(text)
+    if not isfinite(value):
+        raise ParseError(f"model {name} must be finite, got {text!r}")
+    return value
+
+
 def load_model(text: str) -> AlignmentModel:
-    """Inverse of save_model; ParseError on malformed text or an unknown
-    feature mode."""
+    """Inverse of save_model; ParseError on malformed text, a number that is
+    not finite or an unknown feature mode."""
     fields: dict[str, str] = {}
     coefficients: dict[str, float] = {}
     try:
@@ -250,20 +264,20 @@ def load_model(text: str) -> AlignmentModel:
             if parts[0] == "coef":
                 if len(parts) != 3:
                     raise ParseError(f"malformed coefficient line: {line!r}")
-                coefficients[parts[1]] = float(parts[2])
+                coefficients[parts[1]] = _finite(f"coef {parts[1]}", parts[2])
             elif len(parts) == 2:
                 fields[parts[0]] = parts[1]
             else:
                 raise ParseError(f"malformed model line: {line!r}")
         model = AlignmentModel(
             mode=fields["mode"],
-            c0=float(fields["c0"]),
+            c0=_finite("c0", fields["c0"]),
             coefficients=coefficients,
-            b0=float(fields["b0"]),
-            ridge=float(fields["ridge"]),
+            b0=_finite("b0", fields["b0"]),
+            ridge=_finite("ridge", fields["ridge"]),
             n_records=int(fields["n_records"]),
-            mae=float(fields["mae"]),
-            rmsd=float(fields["rmsd"]),
+            mae=_finite("mae", fields["mae"]),
+            rmsd=_finite("rmsd", fields["rmsd"]),
         )
     except KeyError as exc:
         raise ParseError(f"model text missing field {exc}") from exc

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import warnings
 from functools import partial
@@ -97,37 +98,39 @@ def header_lines(
     return lines
 
 
+def _write(lines: Iterable[str], path: str | None = None, err: bool = False) -> None:
+    """The one writer: each line and a newline, as UTF-8, to the file path or
+    else stdout (stderr with err). Surrogates, argument bytes that are not
+    UTF-8, go out as those bytes; with err they are escaped. A reader that
+    closes the stream ends the run with exit 1."""
+    errors = "backslashreplace" if err else "surrogateescape"
+    data = (f"{line}\n".encode("utf-8", errors) for line in lines)
+    if path is not None:
+        with open(path, "wb") as fh:
+            fh.writelines(data)
+        return
+    stream = (sys.stderr if err else sys.stdout).buffer
+    try:
+        stream.writelines(data)
+        stream.flush()
+    except BrokenPipeError:
+        # Python's note on SIGPIPE: the flush at exit must not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        sys.exit(1)
+
+
 def _finish(
-    args: argparse.Namespace, lines: list[str], rejects: list[cov.RejectEntry]
+    args: argparse.Namespace, lines: list[str] | None, rejects: list[cov.RejectEntry]
 ) -> int:
-    """Write the output lines, then the reject lines; return the exit code."""
-    if args.out == "-":
-        sys.stdout.writelines(f"{line}\n" for line in lines)
-        sys.stdout.flush()
-    else:
-        # Argument bytes that are not UTF-8 come in as surrogates and go out as bytes.
-        with open(args.out, "w", encoding="utf-8", errors="surrogateescape") as fh:
-            fh.writelines(f"{line}\n" for line in lines)
-    return _write_rejects(args, rejects)
-
-
-def _write_rejects(args: argparse.Namespace, rejects: list[cov.RejectEntry]) -> int:
-    """Write one line per reject, to --rejects or stderr, then the count;
-    return the exit code."""
-    if not rejects:
-        return 0
-    listing = "".join(
-        f"line {r.line_no} id={r.record_id or '?'} {r.reason}\n" for r in rejects
-    )
-    if args.rejects:
-        # An id with a lone surrogate is escaped, as stderr escapes it.
-        Path(args.rejects).write_text(
-            listing, encoding="utf-8", errors="backslashreplace"
-        )
-    else:
-        sys.stderr.write(listing)
-    sys.stderr.write(f"{len(rejects)} record(s) rejected\n")
-    return 1
+    """Write the output lines (None: no output), then one line per reject, to
+    --rejects or stderr, and their count to stderr; return the exit code."""
+    if lines is not None:
+        _write(lines, None if args.out == "-" else args.out)
+    if rejects:
+        _write((f"line {r.line_no} id={r.record_id or '?'} {r.reason}"
+                for r in rejects), args.rejects, err=True)
+        _write([f"{len(rejects)} record(s) rejected"], err=True)
+    return 1 if rejects else 0
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +448,7 @@ def cmd_align(args: argparse.Namespace) -> int:
                       target_prop=target_prop, model=model)
     (kept,), rejects = cov.ingest([source.text], compute, args.workers)
     if not kept and action != "apply":
-        _write_rejects(args, rejects)
+        _finish(args, None, rejects)
         raise NoRecords(f"no record left to {action}")
     pairs = [pair for _, pair, _ in kept]
 
@@ -711,10 +714,14 @@ def _install_config(parser: argparse.ArgumentParser, command: str, path: str) ->
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    # The accept rule reads integers up to Python's default digit limit,
+    # whatever the environment sets; the caller's limit is restored.
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     with warnings.catch_warnings():
         # One plain line per warning: no source path, line number or code.
-        warnings.showwarning = lambda msg, kind, *_: sys.stderr.write(
-            f"warning: {kind.__name__}: {msg}\n")
+        warnings.showwarning = lambda msg, kind, *_: _write(
+            [f"warning: {kind.__name__}: {msg}"], err=True)
         try:
             args = parser.parse_args(argv)
             if args.config:
@@ -722,11 +729,13 @@ def main(argv: list[str] | None = None) -> int:
                 args = parser.parse_args(argv)
             return args.func(args)
         except InvalidArgument as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
+            _write([f"usage error: {exc}"], err=True)
             return 2
         except MolspaceError as exc:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            _write([f"error: {type(exc).__name__}: {exc}"], err=True)
             return 1
+        finally:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -95,9 +95,9 @@ def reject_reason(exc: MolspaceError) -> str:
 
 def judge(
     compute: Callable[[HeavyGraph], Any], molfile: bool, texts: list[str]
-) -> tuple[list[Verdict], list[tuple[type, str]]]:
+) -> tuple[list[Verdict], list[tuple[str, type, str, int]]]:
     """Accept each record (line or molfile) and compute its value, or give
-    why it is rejected; and the warnings raised, as (category, message).
+    why it is rejected; and each warning raised, as showwarning's arguments.
 
     A MolspaceError rejects the record, except InvalidArgument, the
     caller's fault, which propagates. The duplicate-id check is left to
@@ -117,7 +117,8 @@ def judge(
             except MolspaceError as exc:
                 rec_id = exc.record_id if record is None else record.id
                 verdicts.append((rec_id, record is not None, reject_reason(exc), None))
-    return verdicts, [(w.category, str(w.message)) for w in caught]
+    return verdicts, [(str(w.message), w.category, w.filename, w.lineno)
+                      for w in caught]
 
 
 def admit(
@@ -170,9 +171,9 @@ def ingest(
     molfile: bool = False,
 ) -> tuple[list[list[Any]], list[RejectEntry]]:
     """The one record pass: judge the record_lines (with molfile, the one
-    molfile) of each input across ``workers`` processes, show the warnings
-    in input order, each distinct message once, and give each input's
-    kept values and all reject entries, in input order.
+    molfile) of each input across ``workers`` processes, show each distinct
+    warning once, in input order, with warnings.showwarning (no filter), and
+    give each input's kept values and all reject entries, in input order.
 
     compute must be picklable: a module-level function or its partial.
     """
@@ -181,12 +182,15 @@ def ingest(
     ]
     items = [line for part in numbered for _, line in part]
     verdicts: list[Verdict] = []
+    shown: set[tuple[str, type]] = set()
     for chunk_verdicts, caught in _map_chunks(
         partial(judge, compute, molfile), items, workers
     ):
         verdicts.extend(chunk_verdicts)
-        for category, message in caught:
-            warnings.warn(message, category)
+        for w in caught:
+            if w[:2] not in shown:
+                shown.add(w[:2])
+                warnings.showwarning(*w)
     kept: list[list[Any]] = []
     rejects: list[RejectEntry] = []
     remaining = iter(verdicts)
@@ -365,16 +369,23 @@ def property_value(g: HeavyGraph, prop: str) -> float | None:
     return g.props.get(prop)
 
 
+# The most equal-width bins a histogram takes: each is one output line.
+MAX_BINS = 100_000
+
+
 def check_bins(name: str, bins: int | str) -> None:
-    if bins != "unit" and (not isinstance(bins, int) or bins < 1):
-        raise InvalidArgument(f"{name} must be 'unit' or a positive integer")
+    if bins != "unit" and (not isinstance(bins, int) or not 1 <= bins <= MAX_BINS):
+        raise InvalidArgument(
+            f"{name} must be 'unit' or an integer from 1 to {MAX_BINS}, got {bins!r}"
+        )
 
 
 def histogram(values: list[float | None], bins: int | str = "unit") -> Histogram:
     """Histogram of the records' property_value.
 
-    bins is either the token "unit" (one bin per integer floor) or a
-    positive bin count for equal-width bins spanning the observed range.
+    bins is either the token "unit" (one bin per integer floor) or a bin
+    count from 1 to MAX_BINS for equal-width bins spanning the observed
+    range.
     Records lacking the property (None) are skipped and counted as such;
     bin counts always sum to the number of records used.
     """

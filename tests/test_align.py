@@ -278,6 +278,26 @@ def test_model_round_trips_through_text():
         load_model(text + "coef\tC\tabc\n")
 
 
+def test_a_fit_that_overflows_is_rank_deficient():
+    # Finite energies whose squares overflow in the normal equations.
+    pairs = [(FeatureVector(e0=i * 3e299, counts={}), (i + 1) * 3e299)
+             for i in range(1, 4)]
+    with pytest.raises(RankDeficient, match="not finite"):
+        fit(pairs, "plain")
+
+
+@pytest.mark.parametrize("field", ["ridge", "c0", "b0", "mae", "rmsd", "coef"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_model_number_that_is_not_finite_is_a_parse_error(field, value):
+    model = fit([(FeatureVector(e0=1.0, counts={"C": 1}), 1.0),
+                 (FeatureVector(e0=2.0, counts={"C": 2}), 2.5)], "composition")
+    pattern = r"^coef\tC\t.*$" if field == "coef" else rf"^{field}\t.*$"
+    replacement = f"coef\tC\t{value}" if field == "coef" else f"{field}\t{value}"
+    broken = re.sub(pattern, replacement, save_model(model), flags=re.M)
+    with pytest.raises(ParseError, match=f"must be finite, got '{value}'"):
+        load_model(broken)
+
+
 def test_fit_input_validation():
     with pytest.raises(InvalidArgument):
         fit([], "plain")

@@ -928,8 +928,7 @@ def test_out_gets_the_bytes_of_stdout_for_argument_text_that_is_not_utf8(tmp_pat
     raw = os.fsdecode(b"\xff")
     data = write(tmp_path, "a.jsonl", METHANE, ETHANE)
     named = write(tmp_path, f"{raw}.jsonl", METHANE, ETHANE)
-    # The standard-output handler Python picks under a C or UTF-8 locale.
-    env = child_env(PYTHONIOENCODING="utf-8:surrogateescape")
+    env = child_env()
     out = tmp_path / "out.txt"
     for argv in (
         ["kl", data, data, "--names", f"{raw},y", "--feature", "gcn0"],
@@ -1094,3 +1093,134 @@ def test_the_worker_count_changes_no_byte_of_any_record_command(tmp_path):
         code, stdout, stderr, _ = runs[0]
         assert (code, stdout) == (1, b""), argv[0]
         assert stderr.decode().count(warning) == 1, argv[0]
+
+
+# The settings of the interpreter that no command declares. A run's bytes
+# and exit code do not depend on any of them.
+INTERPRETER_SETTINGS = ("PYTHONIOENCODING", "PYTHONWARNINGS", "PYTHONINTMAXSTRDIGITS",
+                        "PYTHONUTF8", "LC_ALL", "LC_CTYPE", "LANG")
+
+# A record whose id is a 5,000-digit integer, past Python's default limit.
+LONG_ID = '{"id": %s, "elements": ["C"], "bonds": [], "h": "auto"}' % ("7" * 5000)
+
+
+def test_output_bytes_do_not_depend_on_locale_io_encoding_or_warning_filters(
+    tmp_path,
+):
+    clamped = record_line("nitro", ["C", "N", "C", "C", "C"],
+                          [(1, 2, 1), (2, 3, 1), (2, 4, 1), (2, 5, 1)])
+    path = tmp_path / "m.jsonl"
+    path.write_text("\n".join([
+        json.dumps(json.loads(ETHANE) | {"id": "é"}, ensure_ascii=False),
+        json.dumps({"id": "ü", "elements": ["X"], "bonds": [], "h": "auto"},
+                   ensure_ascii=False),
+        clamped, clamped,
+        LONG_ID,
+    ]) + "\n", encoding="utf-8")
+    data = str(path)
+    baseline = {k: v for k, v in child_env().items() if k not in INTERPRETER_SETTINGS}
+    envs = [{}, {"PYTHONIOENCODING": "ascii"}, {"PYTHONIOENCODING": "latin-1"},
+            {"PYTHONIOENCODING": "utf-8"}, {"LC_ALL": "C.UTF-8"},
+            {"PYTHONWARNINGS": "error"}, {"PYTHONWARNINGS": "ignore"},
+            {"PYTHONWARNINGS": "always"}, {"PYTHONINTMAXSTRDIGITS": "0"}]
+    out, rejects = tmp_path / "out.txt", tmp_path / "rejects.txt"
+    for argv in (["cutset", "--input", data],
+                 ["kl", data, data, "--names", os.fsdecode(b"\xff,y"),
+                  "--feature", "gcn0"]):
+        command = [sys.executable, "-m", "molspace", *argv]
+        seen = []
+        for extra in envs:
+            env = baseline | extra
+            to_std = subprocess.run(command, capture_output=True, env=env)
+            to_files = subprocess.run(
+                command + ["--out", str(out), "--rejects", str(rejects)],
+                capture_output=True, env=env)
+            warning, *listing, count = to_std.stderr.splitlines(keepends=True)
+            assert out.read_bytes() == to_std.stdout, (argv[0], extra)
+            assert rejects.read_bytes() == b"".join(listing), (argv[0], extra)
+            assert (to_files.returncode, to_files.stderr) == (
+                to_std.returncode, warning + count), (argv[0], extra)
+            seen.append((to_std.returncode, to_std.stdout, to_std.stderr))
+        code, stdout, stderr = seen[0]
+        assert all(result == seen[0] for result in seen), argv[0]
+        assert code == 1
+        assert (b"\xff\ty\n" if argv[0] == "kl" else "é\t".encode()) in stdout
+        assert stderr.startswith(b"warning: HydrogenClampWarning: record 'nitro'")
+        assert "line 2 id=ü UnsupportedElement".encode() in stderr
+        assert b"an integer has more than 4300 digits" in stderr
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_run_quietly():
+    # Nearly 1 MB of codes: more than a pipe holds, so the run is still
+    # writing when its reader goes.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "molspace", "enumerate", "gcn1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stderr) == (1, b"")
+
+
+def test_main_reads_integers_to_python_default_digit_limit_and_restores_the_callers(
+    capsys, tmp_path
+):
+    data = write(tmp_path, "d.jsonl", LONG_ID)
+    caller = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, _, err = run(capsys, "cutset", "--input", data)
+        assert sys.get_int_max_str_digits() == 0
+    finally:
+        sys.set_int_max_str_digits(caller)
+    assert code == 1
+    assert "an integer has more than 4300 digits" in err
+
+
+@pytest.mark.parametrize("bins, code", [("100000", 0), ("100001", 2)])
+def test_hist_takes_at_most_100000_bins(bins, code, capsys, tmp_path):
+    data = write(tmp_path, "d.jsonl", METHANE)
+    out = tmp_path / "out.txt"
+    config = write(tmp_path, "c.json", json.dumps({"bins": int(bins)}))
+    for argv in (["--bins", bins], ["--config", config]):
+        result = run(capsys, "hist", "--input", data, "--out", str(out), *argv)
+        if code:
+            assert result == (2, "", "usage error: bins must be 'unit' or an "
+                              f"integer from 1 to 100000, got {bins}\n")
+            assert not out.exists()
+        else:
+            assert result == (0, "", "")
+            assert len(out.read_text().splitlines()) == 5 + 100000
+
+
+def test_an_align_fit_that_is_not_finite_is_an_error_and_writes_no_model(tmp_path):
+    # Finite properties whose squares overflow in the normal equations.
+    data = write(tmp_path, "big.jsonl", *(
+        record_line(f"b{i}", ["C"], [], props={"e0": i * 3e299, "e1": (i + 1) * 3e299})
+        for i in range(1, 4)))
+    out = tmp_path / "model.txt"
+    # Under -W error, too, numpy's overflow is no warning and no traceback.
+    for flags in ([], ["-W", "error"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "molspace", "align", "fit", "--input", data,
+             "--mode", "plain", "--out", str(out)],
+            capture_output=True, env=child_env(), check=False,
+        )
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == (b"error: RankDeficient: fit has a coefficient or "
+                               b"residual that is not finite\n")
+        assert not out.exists()
+
+
+def test_align_apply_rejects_a_model_that_is_not_finite(capsys, tmp_path):
+    data = write(tmp_path, "d.jsonl", METHANE)
+    fitted = str(tmp_path / "model.txt")
+    assert run(capsys, "align", "fit", "--input", write(tmp_path, "fit.jsonl",
+               METHANE, ETHANE, WATER), "--mode", "plain", "--out", fitted)[0] == 0
+    text = Path(fitted).read_text()
+    broken = re.sub(r"^c0\t.*$", "c0\tnan", text, flags=re.M)
+    broken = re.sub(r"^b0\t.*$", "b0\tinf", broken, flags=re.M)
+    model = write(tmp_path, "broken.txt", broken)
+    assert run(capsys, "align", "apply", "--input", data, "--model", model) == (
+        1, "", "error: ParseError: model c0 must be finite, got 'nan'\n")

@@ -2,12 +2,14 @@
 
 import math
 import random
+import warnings
 
 import pytest
 
 from functools import partial
 
 from molspace.coverage import (
+    MAX_BINS,
     complement_types,
     coverage_features,
     coverage_report,
@@ -25,6 +27,7 @@ from molspace.errors import (
     EmptyDistribution,
     InvalidArgument,
 )
+from molspace.molgraph import HydrogenClampWarning
 
 from conftest import record_line
 
@@ -229,6 +232,31 @@ def test_width_histogram_covers_range_inclusively():
     assert hist2.used == 1 and hist2.skipped == 1
     with pytest.raises(InvalidArgument):
         histogram(values, 0)
+
+
+def test_histogram_takes_at_most_max_bins():
+    assert MAX_BINS == 100_000
+    assert len(histogram([1.0], MAX_BINS).entries) == MAX_BINS
+    with pytest.raises(InvalidArgument, match="from 1 to 100000, got 100001"):
+        histogram([1.0], MAX_BINS + 1)
+
+
+@pytest.mark.parametrize("action", ["error", "ignore", "always", "default"])
+def test_ingest_shows_each_distinct_warning_once_whatever_the_filters(
+    action, monkeypatch
+):
+    nitro = record_line("nitro", ["C", "N", "O", "C"],
+                        [(1, 2, 1), (2, 3, 2), (2, 4, 1)])
+    shown = []
+    monkeypatch.setattr(warnings, "showwarning",
+                        lambda message, kind, *_: shown.append((kind, message)))
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        values, rejects = pass_over([nitro, nitro, METHANE])
+    assert len(values) == 2 and len(rejects) == 1
+    assert shown == [(HydrogenClampWarning, "record 'nitro': atom 2 (N) has bond "
+                      "order sum 4 above the default valence; hydrogen count "
+                      "clamped to 0")]
 
 
 def test_expansion_subsets_thresholds():
