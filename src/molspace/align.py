@@ -67,16 +67,14 @@ def record_features(
 ) -> tuple[FeatureVector, float | None]:
     """The feature/target pair of one record.
 
-    Raises MissingProperty, carrying the record id, when the record lacks
-    the source property (or the target property, when one is requested).
+    Raises MissingProperty when the record lacks the source property (or
+    the target property, when one is requested).
     """
     if mode not in MODES:
         raise InvalidArgument(f"mode must be one of {MODES}, got {mode!r}")
     for prop in (e0_prop, target_prop):
         if prop is not None and prop not in g.props:
-            exc = MissingProperty(f"record lacks property {prop!r}")
-            exc.record_id = g.id
-            raise exc
+            raise MissingProperty(f"record lacks property {prop!r}")
     if mode == "plain":
         counts: dict[str, int] = {}
     elif mode == "composition":

@@ -1,10 +1,11 @@
 """Command line interface.
 
-All subcommands write to ``--out`` (default ``-`` for standard output) and
-emit deterministic bytes: identical inputs and configuration always give
-identical output files. Report-style outputs start with ``#`` header lines
-carrying the tool version, the resolved configuration and a SHA-256 digest
-of every input. Exit codes: 0 success, 1 data errors (rejected records,
+All subcommands write to ``--out`` (default ``-`` for standard output); a
+record command writes its reject lines before that, when its record pass
+ends. Bytes are deterministic: identical inputs and configuration always
+give identical output files. Report-style outputs start with ``#`` header
+lines carrying the tool version, the resolved configuration and a SHA-256
+digest of every input. Exit codes: 0 success, 1 data errors (rejected records,
 missing references), 2 usage errors.
 
 ``build_parser`` declares every setting once: its default, type and
@@ -43,6 +44,7 @@ from .errors import (
     MissingProperty,
     MolspaceError,
     NoRecords,
+    OutputError,
     ParseError,
 )
 from .molgraph import HeavyGraph, load_json, record_lines
@@ -98,16 +100,20 @@ def header_lines(
     return lines
 
 
-def _write(lines: Iterable[str], path: str | None = None, err: bool = False) -> None:
-    """The one writer: each line and a newline, as UTF-8, to the file path or
-    else stdout (stderr with err). Surrogates, argument bytes that are not
-    UTF-8, go out as those bytes; with err they are escaped. A reader that
-    closes the stream ends the run with exit 1."""
+def _write(lines: Iterable[str], path: str = "-", err: bool = False) -> None:
+    """The one writer: each line and a newline, as UTF-8, to the file path or,
+    for '-', stdout (stderr with err). Surrogates, argument bytes that are
+    not UTF-8, go out as those bytes; with err they are escaped. A path that
+    cannot be written is an OutputError; a reader that closes the stream
+    ends the run with exit 1."""
     errors = "backslashreplace" if err else "surrogateescape"
     data = (f"{line}\n".encode("utf-8", errors) for line in lines)
-    if path is not None:
-        with open(path, "wb") as fh:
-            fh.writelines(data)
+    if path != "-":
+        try:
+            with open(path, "wb") as fh:
+                fh.writelines(data)
+        except OSError as exc:
+            raise OutputError(f"cannot write {path}: {exc}") from exc
         return
     stream = (sys.stderr if err else sys.stdout).buffer
     try:
@@ -119,18 +125,25 @@ def _write(lines: Iterable[str], path: str | None = None, err: bool = False) -> 
         sys.exit(1)
 
 
-def _finish(
-    args: argparse.Namespace, lines: list[str] | None, rejects: list[cov.RejectEntry]
-) -> int:
-    """Write the output lines (None: no output), then one line per reject, to
-    --rejects or stderr, and their count to stderr; return the exit code."""
-    if lines is not None:
-        _write(lines, None if args.out == "-" else args.out)
+# A command's output lines, which main writes, and the number it rejected.
+Output = tuple[list[str], int]
+
+
+def _record_pass(
+    args: argparse.Namespace,
+    sources: list[InputText],
+    compute: Callable[[HeavyGraph], Any],
+    molfile: bool = False,
+) -> tuple[list[list[Any]], list[InputText], int]:
+    """Run one record pass over the inputs at --workers, then write one line
+    per reject, to --rejects or stderr, and their count to stderr: each
+    input's kept values, the sources and the number rejected."""
+    values, rejects = cov.ingest([s.text for s in sources], compute, args.workers, molfile)
     if rejects:
         _write((f"line {r.line_no} id={r.record_id or '?'} {r.reason}"
                 for r in rejects), args.rejects, err=True)
         _write([f"{len(rejects)} record(s) rejected"], err=True)
-    return 1 if rejects else 0
+    return values, sources, len(rejects)
 
 
 # ---------------------------------------------------------------------------
@@ -172,36 +185,23 @@ def _cutset_record(g: HeavyGraph) -> str:
     )
 
 
-def _record_pass(
-    args: argparse.Namespace,
-    paths: list[str],
-    compute: Callable[[HeavyGraph], Any],
-    molfile: bool = False,
-) -> tuple[list[list[Any]], list[cov.RejectEntry], list[InputText]]:
-    """Read the inputs in order, then run one record pass over them all at
-    --workers: each input's kept values, the rejects and the sources."""
-    sources = [read_input(path) for path in paths]
-    values, rejects = cov.ingest([s.text for s in sources], compute, args.workers, molfile)
-    return values, rejects, sources
-
-
 def _run_per_record(
     args: argparse.Namespace, command: str, compute: Callable[[Any], str]
-) -> int:
-    (body,), rejects, sources = _record_pass(
-        args, [args.input], compute, args.input_format == "molfile"
+) -> Output:
+    (body,), sources, rejected = _record_pass(
+        args, [read_input(args.input)], compute, args.input_format == "molfile"
     )
     # The worker count changes scheduling only, never bytes, so it is
     # deliberately left out of the echoed configuration.
     echo = {"mode": args.mode, "input_format": args.input_format}
-    return _finish(args, header_lines(command, echo, sources) + body, rejects)
+    return header_lines(command, echo, sources) + body, rejected
 
 
-def cmd_encode(args: argparse.Namespace) -> int:
+def cmd_encode(args: argparse.Namespace) -> Output:
     return _run_per_record(args, "encode", partial(_encode_record, mode=args.mode))
 
 
-def cmd_cutset(args: argparse.Namespace) -> int:
+def cmd_cutset(args: argparse.Namespace) -> Output:
     return _run_per_record(args, "cutset", _cutset_record)
 
 
@@ -214,27 +214,27 @@ def _parse_elements(spec: str) -> list[str]:
     return sorted(set(spec.replace(",", "")))
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> Output:
     elements = _parse_elements(args.elements)
     if args.level == "gcn0":
         codes = gcn.enumerate_gcn0(elements)
     else:
         codes = gcn.enumerate_gcn1(elements)
-    return _finish(args, sorted(codes, reverse=True), [])
+    return sorted(codes, reverse=True), 0
 
 
-def cmd_count_gcn2(args: argparse.Namespace) -> int:
+def cmd_count_gcn2(args: argparse.Namespace) -> Output:
     source = read_input(args.gcn1_list)
     codes = [code for _, code in record_lines(source.text.splitlines())]
     elements = None if args.elements is None else _parse_elements(args.elements)
     total = gcn.count_gcn2(codes, elements)
-    return _finish(args, [str(total)], [])
+    return [str(total)], 0
 
 
-def cmd_generate_nbg0(args: argparse.Namespace) -> int:
+def cmd_generate_nbg0(args: argparse.Namespace) -> Output:
     lines = [f"# generator=nbg0 max_heavy={args.max_heavy} mode=skeleton"]
     lines.extend(nbg.nbg0_generate(args.max_heavy))
-    return _finish(args, lines, [])
+    return lines, 0
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +246,9 @@ def _stem(path: str) -> str:
     return Path(path).stem if path != "-" else "stdin"
 
 
-def cmd_coverage(args: argparse.Namespace) -> int:
-    (features,), rejects, sources = _record_pass(
-        args, [args.input], cov.coverage_features
+def cmd_coverage(args: argparse.Namespace) -> Output:
+    (features,), sources, rejected = _record_pass(
+        args, [read_input(args.input)], cov.coverage_features
     )
     name = args.name or _stem(args.input)
     report = cov.coverage_report(features, name)
@@ -266,12 +266,12 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         width = max(len(k) for k, _ in flat)
         for key, value in flat:
             lines.append(f"{key.ljust(width)}  {value}")
-    return _finish(args, lines, rejects)
+    return lines, rejected
 
 
 def _type_tables(
     args: argparse.Namespace,
-) -> tuple[list[cov.Table], list[cov.RejectEntry], list[InputText]]:
+) -> tuple[list[cov.Table], list[InputText], int]:
     """The named record_type_counts of --feature of every input."""
     paths = args.inputs
     if args.names is not None:
@@ -288,16 +288,18 @@ def _type_tables(
         raise InvalidArgument(fault)
     _check_stdin({f"input {k}": path for k, path in enumerate(paths, start=1)})
     compute = partial(cov.record_type_counts, feature=args.feature, mode=args.mode)
-    counts, rejects, sources = _record_pass(args, paths, compute)
-    return list(zip(names, counts)), rejects, sources
+    counts, sources, rejected = _record_pass(
+        args, [read_input(path) for path in paths], compute
+    )
+    return list(zip(names, counts)), sources, rejected
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> Output:
     if not 2 <= len(args.inputs) <= 3:
         raise InvalidArgument(
             f"compare takes two or three inputs, got {len(args.inputs)}"
         )
-    tables, rejects, sources = _type_tables(args)
+    tables, sources, rejected = _type_tables(args)
     regions = cov.overlap_report(tables)
     lines = header_lines(
         "compare", {"feature": args.feature, "mode": args.mode}, sources
@@ -305,26 +307,26 @@ def cmd_compare(args: argparse.Namespace) -> int:
     lines.append("region\tcount")
     for key, value in regions.items():
         lines.append(f"{key}\t{value}")
-    return _finish(args, lines, rejects)
+    return lines, rejected
 
 
-def cmd_kl(args: argparse.Namespace) -> int:
+def cmd_kl(args: argparse.Namespace) -> Output:
     if len(args.inputs) < 2:
         raise InvalidArgument(f"kl takes at least two inputs, got {len(args.inputs)}")
-    tables, rejects, sources = _type_tables(args)
+    tables, sources, rejected = _type_tables(args)
     matrix = cov.kl_matrix(tables, args.feature, args.epsilon)
     echo = {"feature": args.feature, "mode": args.mode, "epsilon": args.epsilon}
     lines = header_lines("kl", echo, sources)
     lines.append("name\t" + "\t".join(name for name, _ in tables))
     for (name, _), row in zip(tables, matrix):
         lines.append(name + "\t" + "\t".join(repr(v) for v in row))
-    return _finish(args, lines, rejects)
+    return lines, rejected
 
 
-def cmd_hist(args: argparse.Namespace) -> int:
+def cmd_hist(args: argparse.Namespace) -> Output:
     bins = args.bins if args.bins == "unit" else int(args.bins)
     compute = partial(cov.property_value, prop=args.property)
-    (values,), rejects, sources = _record_pass(args, [args.input], compute)
+    (values,), sources, rejected = _record_pass(args, [read_input(args.input)], compute)
     hist = cov.histogram(values, bins)
     # bins is echoed as given: "5" from a flag, 5 from a config file.
     echo = {"property": args.property, "bins": args.bins}
@@ -333,29 +335,31 @@ def cmd_hist(args: argparse.Namespace) -> int:
     lines.append("low\thigh\tcount")
     for lo, hi, count in hist.entries:
         lines.append(f"{lo!r}\t{hi!r}\t{count}")
-    return _finish(args, lines, rejects)
+    return lines, rejected
 
 
-def cmd_subset(args: argparse.Namespace) -> int:
-    (levels,), rejects, sources = _record_pass(args, [args.input], cov.record_levels)
+def cmd_subset(args: argparse.Namespace) -> Output:
+    (levels,), sources, rejected = _record_pass(
+        args, [read_input(args.input)], cov.record_levels
+    )
     ids = cov.expansion_subsets(levels, args.gcn2_level, args.nbg_level)
     echo = {"gcn2_level": args.gcn2_level, "nbg_level": args.nbg_level}
     lines = header_lines("subset", echo, sources)
     lines.extend(sorted(ids))
-    return _finish(args, lines, rejects)
+    return lines, rejected
 
 
-def cmd_complement(args: argparse.Namespace) -> int:
+def cmd_complement(args: argparse.Namespace) -> Output:
     _check_stdin({"--train": args.train, "--eval": args.eval})
     compute = partial(cov.complement_types, feature=args.feature)
-    (train, evals), rejects, sources = _record_pass(
-        args, [args.train, args.eval], compute
+    (train, evals), sources, rejected = _record_pass(
+        args, [read_input(args.train), read_input(args.eval)], compute
     )
     ids = cov.structure_complement(train, evals, args.na_cap)
     echo = {"feature": args.feature, "na_cap": args.na_cap}
     lines = header_lines("complement", echo, sources)
     lines.extend(sorted(ids))
-    return _finish(args, lines, rejects)
+    return lines, rejected
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +367,7 @@ def cmd_complement(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_egcn0(args: argparse.Namespace) -> int:
+def cmd_egcn0(args: argparse.Namespace) -> Output:
     source = read_input(args.orbitals)
     rows = load_orbital_lines(source.text.splitlines())
     per_atom: dict[str, list] = {}
@@ -389,7 +393,7 @@ def cmd_egcn0(args: argparse.Namespace) -> int:
         lines.append("atom\te_gcn0")
         for atom in sorted(energies):
             lines.append(f"{atom}\t{energies[atom]!r}")
-    return _finish(args, lines, [])
+    return lines, 0
 
 
 def _bind_energy_line(g: HeavyGraph, prop: str, refs: dict[str, float]) -> str:
@@ -399,17 +403,17 @@ def _bind_energy_line(g: HeavyGraph, prop: str, refs: dict[str, float]) -> str:
     return f"{g.id}\t{value!r}"
 
 
-def cmd_bind_energy(args: argparse.Namespace) -> int:
+def cmd_bind_energy(args: argparse.Namespace) -> Output:
     _check_stdin({"--input": args.input, "--refs": args.refs})
     refs_source = read_input(args.refs)
     refs = load_reference_lines(refs_source.text.splitlines())
     compute = partial(_bind_energy_line, prop=args.property, refs=refs)
-    (body,), rejects, sources = _record_pass(args, [args.input], compute)
+    (body,), sources, rejected = _record_pass(args, [read_input(args.input)], compute)
     lines = header_lines(
         "bind-energy", {"property": args.property}, sources + [refs_source]
     )
     lines.append("id\te_bind")
-    return _finish(args, lines + body, rejects)
+    return lines + body, rejected
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +435,7 @@ def _align_record(
     return g.id, pair, None if model is None else align_mod.apply(model, pair[0])
 
 
-def cmd_align(args: argparse.Namespace) -> int:
+def cmd_align(args: argparse.Namespace) -> Output:
     action = args.action
     e0_prop, e1_prop = args.e0, args.e1
     if action != "fit":
@@ -446,9 +450,8 @@ def cmd_align(args: argparse.Namespace) -> int:
     target_prop = None if action == "apply" else e1_prop
     compute = partial(_align_record, e0_prop=e0_prop, mode=mode,
                       target_prop=target_prop, model=model)
-    (kept,), rejects = cov.ingest([source.text], compute, args.workers)
+    (kept,), _, rejected = _record_pass(args, [source], compute)
     if not kept and action != "apply":
-        _finish(args, None, rejects)
         raise NoRecords(f"no record left to {action}")
     pairs = [pair for _, pair, _ in kept]
 
@@ -477,7 +480,7 @@ def cmd_align(args: argparse.Namespace) -> int:
         lines.append(f"mae\t{stats.mae!r}")
         lines.append(f"rmsd\t{stats.rmsd!r}")
         lines.append(f"outliers\t{stats.outliers}")
-    return _finish(args, lines, rejects)
+    return lines, rejected
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +551,8 @@ def _add_common(sp: argparse.ArgumentParser, record_pass: bool = True) -> None:
                     help="output path, '-' for stdout (default)")
     sp.add_argument("--config", help="structured-text config file")
     if record_pass:
-        sp.add_argument("--rejects", help="path for reject entries (default stderr)")
+        sp.add_argument("--rejects", default="-",
+                        help="path for reject entries, '-' for stderr (default)")
         sp.add_argument("--workers", type=partial(_number, "workers", _check_workers),
                         default=1, help="worker process count, at least 1")
 
@@ -727,7 +731,9 @@ def main(argv: list[str] | None = None) -> int:
             if args.config:
                 _install_config(parser, args.command, args.config)
                 args = parser.parse_args(argv)
-            return args.func(args)
+            lines, rejected = args.func(args)
+            _write(lines, args.out)
+            return 1 if rejected else 0
         except InvalidArgument as exc:
             _write([f"usage error: {exc}"], err=True)
             return 2

@@ -48,43 +48,31 @@ class RejectEntry(NamedTuple):
 Verdict = tuple[str | None, bool, str | None, Any]
 
 
-def accept_record(line: str) -> HeavyGraph:
-    """Accept one record line or raise the error that rejects it.
-
-    This is the one accept rule of every record command. The line must
-    parse (one structured-text object, elements C/N/O/F, bond orders 1 to
-    3, one fragment, finite numeric ``props``) and the molecule must pass
-    accept_molecule. Errors carry the record id once it is parsed.
-    """
-    return accept_molecule(parse_record_line(line))
-
-
 def accept_molecule(mol: HeavyGraph) -> HeavyGraph:
-    """The graph half of accept_record, also used for molfiles; returns
-    heavy_graph(mol), which is mol itself for a record.
+    """Accept one parsed molecule or raise the error that rejects it;
+    returns heavy_graph(mol), which is mol itself for a record.
 
-    Rejects a molecule whose hydrogens cannot be suppressed, that fails
-    validate, that has an atom environment outside the level-0 code
-    table, or that has more heavy atoms than the exact canonical forms
-    allow (nbg.MAX_SIGNATURE_VERTICES, TooLarge). So every accepted record
-    is encodable by every downstream operation. The level-0 check is
-    gcn.level0_codes, table lookups that build no string; the codes are
-    not kept, since few commands read them.
+    This is the one accept rule of every record command, applied to what
+    parse_record_line (one structured-text object, elements C/N/O/F, bond
+    orders 1 to 3, one fragment, finite numeric ``props``) or
+    parse_molfile gives. It rejects a molecule whose hydrogens cannot be
+    suppressed, that fails validate, that has an atom environment outside
+    the level-0 code table, or that has more heavy atoms than the exact
+    canonical forms allow (nbg.MAX_SIGNATURE_VERTICES, TooLarge). So every
+    accepted record is encodable by every downstream operation. The
+    level-0 check is gcn.level0_codes, table lookups that build no string;
+    the codes are not kept, since few commands read them.
     """
-    try:
-        g = heavy_graph(mol)
-        diags = validate(g)
-        if diags:
-            raise ParseError("; ".join(diags))
-        gcn.level0_codes(g)
-        if g.na > nbg.MAX_SIGNATURE_VERTICES:
-            raise TooLarge(
-                f"record has {g.na} heavy atoms, above the cap of "
-                f"{nbg.MAX_SIGNATURE_VERTICES}"
-            )
-    except MolspaceError as exc:
-        exc.record_id = mol.id
-        raise
+    g = heavy_graph(mol)
+    diags = validate(g)
+    if diags:
+        raise ParseError("; ".join(diags))
+    gcn.level0_codes(g)
+    if g.na > nbg.MAX_SIGNATURE_VERTICES:
+        raise TooLarge(
+            f"record has {g.na} heavy atoms, above the cap of "
+            f"{nbg.MAX_SIGNATURE_VERTICES}"
+        )
     return g
 
 
@@ -100,22 +88,24 @@ def judge(
     why it is rejected; and each warning raised, as showwarning's arguments.
 
     A MolspaceError rejects the record, except InvalidArgument, the
-    caller's fault, which propagates. The duplicate-id check is left to
-    admit, so that workers can judge chunks of an input.
+    caller's fault, which propagates. A record that parses is named by its
+    graph's id; one that does not, by the id its parser gives the error.
+    The duplicate-id check is left to admit, so that workers can judge
+    chunks of an input.
     """
     verdicts: list[Verdict] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for text in texts:
-            record = None
+            parsed = record = None
             try:
-                record = (accept_molecule(parse_molfile(text)) if molfile
-                          else accept_record(text))
+                parsed = parse_molfile(text) if molfile else parse_record_line(text)
+                record = accept_molecule(parsed)
                 verdicts.append((record.id, True, None, compute(record)))
             except InvalidArgument:
                 raise
             except MolspaceError as exc:
-                rec_id = exc.record_id if record is None else record.id
+                rec_id = exc.record_id if parsed is None else parsed.id
                 verdicts.append((rec_id, record is not None, reject_reason(exc), None))
     return verdicts, [(str(w.message), w.category, w.filename, w.lineno)
                       for w in caught]

@@ -72,6 +72,10 @@ class RankDeficient(MolspaceError):
     """An unregularized least-squares system with singular normal matrix."""
 
 
+class OutputError(MolspaceError):
+    """An output path that cannot be written."""
+
+
 class NoRecords(MolspaceError):
     """An operation that needs at least one record has none left."""
 

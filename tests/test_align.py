@@ -16,7 +16,7 @@ from molspace.align import (
     record_features,
     save_model,
 )
-from molspace.coverage import accept_record
+from molspace.coverage import accept_molecule
 from molspace.errors import (
     InvalidArgument,
     MissingProperty,
@@ -24,6 +24,7 @@ from molspace.errors import (
     RankDeficient,
     UnseenFeature,
 )
+from molspace.molgraph import parse_record_line
 
 from conftest import record_line
 
@@ -71,7 +72,7 @@ def pool_table(rng, n_extra=12, target=None):
             )
         )
         serial += 1
-    return [accept_record(line) for line in lines]
+    return [accept_molecule(parse_record_line(line)) for line in lines]
 
 
 def feature_pairs(records, e0_prop, mode, target_prop=None):
@@ -88,7 +89,7 @@ def test_record_features_modes():
         record_line("methane", ["C"], [], props={"e0": 1.0}),
         record_line("ethane", ["C", "C"], [(1, 2, 1)], props={"e0": 2.0}),
     ]
-    table = [accept_record(line) for line in lines]
+    table = [accept_molecule(parse_record_line(line)) for line in lines]
     plain = feature_pairs(table, "e0", "plain")
     assert plain[0][0] == FeatureVector(e0=1.0, counts={})
     comp = feature_pairs(table, "e0", "composition")
@@ -123,7 +124,7 @@ def test_fit_composition_exact_recovery():
     def target(k, e0):
         _, elements, bonds = POOL[k]
         lines = [record_line("tmp", elements, bonds, props={"e0": 0.0})]
-        comp = accept_record(lines[0]).composition()
+        comp = accept_molecule(parse_record_line(lines[0])).composition()
         return c0 * e0 + sum(truth[el] * n for el, n in comp.items()) + b0
 
     table = pool_table(rng, target=target)

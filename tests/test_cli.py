@@ -1026,7 +1026,7 @@ def test_reject_lines_come_in_input_order(capsys, tmp_path):
 def test_an_invalid_feature_is_one_invalid_argument(command, capsys, tmp_path):
     a = write(tmp_path, "a.jsonl", METHANE, ETHANE, WATER)
     b = write(tmp_path, "b.jsonl", ETHANE, BENZOIC)
-    common = dict(workers=1, out=str(tmp_path / "out.txt"), rejects=None,
+    common = dict(workers=1, out=str(tmp_path / "out.txt"), rejects="-",
                   mode="skeleton")
     if command == "complement":
         args = argparse.Namespace(train=a, eval=b, feature="gcn0", na_cap=None,
@@ -1194,11 +1194,13 @@ def test_hist_takes_at_most_100000_bins(bins, code, capsys, tmp_path):
             assert len(out.read_text().splitlines()) == 5 + 100000
 
 
+# Finite properties whose squares overflow in the normal equations.
+HUGE = [record_line(f"b{i}", ["C"], [], props={"e0": i * 3e299, "e1": (i + 1) * 3e299})
+        for i in range(1, 4)]
+
+
 def test_an_align_fit_that_is_not_finite_is_an_error_and_writes_no_model(tmp_path):
-    # Finite properties whose squares overflow in the normal equations.
-    data = write(tmp_path, "big.jsonl", *(
-        record_line(f"b{i}", ["C"], [], props={"e0": i * 3e299, "e1": (i + 1) * 3e299})
-        for i in range(1, 4)))
+    data = write(tmp_path, "big.jsonl", *HUGE)
     out = tmp_path / "model.txt"
     # Under -W error, too, numpy's overflow is no warning and no traceback.
     for flags in ([], ["-W", "error"]):
@@ -1224,3 +1226,67 @@ def test_align_apply_rejects_a_model_that_is_not_finite(capsys, tmp_path):
     model = write(tmp_path, "broken.txt", broken)
     assert run(capsys, "align", "apply", "--input", data, "--model", model) == (
         1, "", "error: ParseError: model c0 must be finite, got 'nan'\n")
+
+
+# A record that does not parse and one with an element outside C/N/O/F.
+UNREADABLE = ["{bad json", record_line("si", ["Si"], [])]
+UNREADABLE_REJECTS = (
+    "line 1 id=? ParseError: record line is not valid structured text: Expecting "
+    "property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+    "line 2 id=si UnsupportedElement: unsupported element 'Si' at atom 1\n"
+    "2 record(s) rejected\n"
+)
+
+
+def test_the_reject_lines_come_before_the_output(tmp_path):
+    data = write(tmp_path, "in.jsonl", *UNREADABLE, METHANE)
+    proc = subprocess.run(
+        [sys.executable, "-m", "molspace", "cutset", "--input", data],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=child_env(), check=False,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout.decode().startswith(UNREADABLE_REJECTS + "# molspace ")
+
+
+def test_the_rejects_stay_written_when_the_fold_fails(capsys, tmp_path):
+    a = write(tmp_path, "a.jsonl", METHANE)
+    b = write(tmp_path, "b.jsonl", *UNREADABLE)
+    assert run(capsys, "kl", a, b) == (1, "", UNREADABLE_REJECTS + (
+        "error: EmptyDistribution: table 'b' has no gcn1 occurrences\n"))
+    data = write(tmp_path, "big.jsonl", *HUGE, record_line("w", ["C"], [],
+                                                          props={"e0": -40.1}))
+    out = tmp_path / "model.txt"
+    assert run(capsys, "align", "fit", "--input", data, "--mode", "plain",
+               "--out", str(out)) == (1, "", (
+        "line 4 id=w MissingProperty: record lacks property 'e1'\n"
+        "1 record(s) rejected\n"
+        "error: RankDeficient: fit has a coefficient or residual that is not finite\n"
+    ))
+    assert not out.exists()
+
+
+def test_rejects_dash_means_stderr(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    data = write(tmp_path, "in.jsonl", *UNREADABLE)
+    plain = run(capsys, "cutset", "--input", data)
+    assert plain[2] == UNREADABLE_REJECTS
+    assert run(capsys, "cutset", "--input", data, "--rejects", "-") == plain
+    config = write(tmp_path, "c.json", json.dumps({"rejects": "-"}))
+    assert run(capsys, "cutset", "--input", data, "--config", config) == plain
+    assert not (tmp_path / "-").exists()
+
+
+@pytest.mark.parametrize("missing", [True, False], ids=["no-parent", "a-directory"])
+def test_an_output_path_that_cannot_be_written_is_one_error_line(
+    missing, capsys, tmp_path
+):
+    data = write(tmp_path, "in.jsonl", *UNREADABLE, METHANE)
+    path = str(tmp_path / "missing" / "x" if missing else tmp_path)
+    refusal = f"error: OutputError: cannot write {path}: "
+    # The rejects are written before the output, so a bad --out keeps them.
+    code, out, err = run(capsys, "cutset", "--input", data, "--out", path)
+    assert (code, out) == (1, "")
+    assert err.startswith(UNREADABLE_REJECTS + refusal) and err.count("\n") == 4
+    code, out, err = run(capsys, "cutset", "--input", data, "--rejects", path)
+    assert (code, out) == (1, "")
+    assert err.startswith(refusal) and err.count("\n") == 1
