@@ -90,6 +90,21 @@ def _check_stdin(paths: dict[str, str]) -> None:
         )
 
 
+def _check_outputs(out: str, rejects: str) -> None:
+    """The reject lines are written, then the output, each to a file of its
+    own: a usage error, before any input is read, when --out and --rejects
+    name one file, by one path, a link or a hard link. '-' names two
+    streams, stdout and stderr."""
+    if "-" in (out, rejects):
+        return
+    try:
+        same = os.path.samefile(out, rejects)
+    except OSError:  # a file not made yet is named by its path alone
+        same = os.path.realpath(out) == os.path.realpath(rejects)
+    if same:
+        raise InvalidArgument(f"--out and --rejects name the same file, {out}")
+
+
 def header_lines(
     command: str, echo: dict[str, Any], inputs: Iterable[InputText]
 ) -> list[str]:
@@ -134,11 +149,13 @@ def _record_pass(
     sources: list[InputText],
     compute: Callable[[HeavyGraph], Any],
     molfile: bool = False,
-) -> tuple[list[list[Any]], list[InputText], int]:
+    reduce: Callable[[Iterable[Any]], Any] = list,
+) -> tuple[list[Any], list[InputText], int]:
     """Run one record pass over the inputs at --workers, then write one line
-    per reject, to --rejects or stderr, and their count to stderr: each
-    input's kept values, the sources and the number rejected."""
-    values, rejects = cov.ingest([s.text for s in sources], compute, args.workers, molfile)
+    per reject, to --rejects or stderr, and their count to stderr: reduce of
+    each input's kept values, the sources and the number rejected."""
+    values, rejects = cov.ingest(
+        [s.text for s in sources], compute, args.workers, molfile, reduce)
     if rejects:
         _write((f"line {r.line_no} id={r.record_id or '?'} {r.reason}"
                 for r in rejects), args.rejects, err=True)
@@ -247,11 +264,11 @@ def _stem(path: str) -> str:
 
 
 def cmd_coverage(args: argparse.Namespace) -> Output:
-    (features,), sources, rejected = _record_pass(
-        args, [read_input(args.input)], cov.coverage_features
-    )
     name = args.name or _stem(args.input)
-    report = cov.coverage_report(features, name)
+    (report,), sources, rejected = _record_pass(
+        args, [read_input(args.input)], cov.coverage_features,
+        reduce=partial(cov.coverage_report, name=name),
+    )
     lines = header_lines("coverage", {"format": args.format, "name": name}, sources)
     if args.format == "json":
         lines.append(json.dumps(report, sort_keys=False))
@@ -272,7 +289,7 @@ def cmd_coverage(args: argparse.Namespace) -> Output:
 def _type_tables(
     args: argparse.Namespace,
 ) -> tuple[list[cov.Table], list[InputText], int]:
-    """The named record_type_counts of --feature of every input."""
+    """The named type_total of --feature of every input."""
     paths = args.inputs
     if args.names is not None:
         names = [n.strip() for n in args.names.split(",")]
@@ -288,10 +305,10 @@ def _type_tables(
         raise InvalidArgument(fault)
     _check_stdin({f"input {k}": path for k, path in enumerate(paths, start=1)})
     compute = partial(cov.record_type_counts, feature=args.feature, mode=args.mode)
-    counts, sources, rejected = _record_pass(
-        args, [read_input(path) for path in paths], compute
+    totals, sources, rejected = _record_pass(
+        args, [read_input(path) for path in paths], compute, reduce=cov.type_total
     )
-    return list(zip(names, counts)), sources, rejected
+    return list(zip(names, totals)), sources, rejected
 
 
 def cmd_compare(args: argparse.Namespace) -> Output:
@@ -339,10 +356,11 @@ def cmd_hist(args: argparse.Namespace) -> Output:
 
 
 def cmd_subset(args: argparse.Namespace) -> Output:
-    (levels,), sources, rejected = _record_pass(
-        args, [read_input(args.input)], cov.record_levels
+    subset = partial(cov.expansion_subsets, gcn2_max=args.gcn2_level,
+                     nbg_max=args.nbg_level)
+    (ids,), sources, rejected = _record_pass(
+        args, [read_input(args.input)], cov.record_levels, reduce=subset
     )
-    ids = cov.expansion_subsets(levels, args.gcn2_level, args.nbg_level)
     echo = {"gcn2_level": args.gcn2_level, "nbg_level": args.nbg_level}
     lines = header_lines("subset", echo, sources)
     lines.extend(sorted(ids))
@@ -731,6 +749,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.config:
                 _install_config(parser, args.command, args.config)
                 args = parser.parse_args(argv)
+            if "rejects" in args:
+                _check_outputs(args.out, args.rejects)
             lines, rejected = args.func(args)
             _write(lines, args.out)
             return 1 if rejected else 0

@@ -2,21 +2,23 @@
 
 Every record command reads its records in one pass (ingest): each record
 is accepted and given to the command's per-record function, or rejected
-with a reason. The analyses below fold the values that pass keeps into
-type inventories for both representation axes (local-valence codes and
-bridge-free topologies), overlap regions between datasets, smoothed
+with a reason. The analyses below fold the kept values, as they arrive,
+into type inventories for both representation axes (local-valence codes
+and bridge-free topologies), overlap regions between datasets, smoothed
 Kullback-Leibler divergence matrices, property histograms, threshold-based
 expansion subsets and unseen-structure complements.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import sys
 import warnings
-from collections import Counter
+from collections import Counter, deque
 from functools import partial
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import gcn, nbg
 from .errors import (
@@ -42,10 +44,6 @@ class RejectEntry(NamedTuple):
     line_no: int
     record_id: str | None
     reason: str
-
-
-# (record id or None, accepted, reject reason or None, computed value)
-Verdict = tuple[str | None, bool, str | None, Any]
 
 
 def accept_molecule(mol: HeavyGraph) -> HeavyGraph:
@@ -83,17 +81,18 @@ def reject_reason(exc: MolspaceError) -> str:
 
 def judge(
     compute: Callable[[HeavyGraph], Any], molfile: bool, texts: list[str]
-) -> tuple[list[Verdict], list[tuple[str, type, str, int]]]:
+) -> tuple[list[tuple], list[tuple[str, type, str, int]]]:
     """Accept each record (line or molfile) and compute its value, or give
     why it is rejected; and each warning raised, as showwarning's arguments.
 
     A MolspaceError rejects the record, except InvalidArgument, the
     caller's fault, which propagates. A record that parses is named by its
     graph's id; one that does not, by the id its parser gives the error.
-    The duplicate-id check is left to admit, so that workers can judge
+    The duplicate-id check is left to ingest, so that workers can judge
     chunks of an input.
     """
-    verdicts: list[Verdict] = []
+    # (record id or None, accepted, reject reason or None, computed value)
+    verdicts: list[tuple[str | None, bool, str | None, Any]] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for text in texts:
@@ -111,47 +110,8 @@ def judge(
                       for w in caught]
 
 
-def admit(
-    numbered: list[tuple[int, str]], verdicts: Iterator[Verdict]
-) -> tuple[list[Any], list[RejectEntry]]:
-    """Split one input's verdicts, the next len(numbered), into kept
-    values and reject entries.
-
-    An accepted record claims its id, even when the command's function
-    then rejects it; a record that reuses an id claimed earlier in the
-    same input is rejected with DuplicateRecord.
-    """
-    seen: set[str | None] = set()
-    kept: list[Any] = []
-    rejects: list[RejectEntry] = []
-    for (line_no, _), (rec_id, accepted, reason, value) in zip(numbered, verdicts):
-        if accepted:
-            if rec_id in seen:
-                reason = reject_reason(DuplicateRecord(f"id {rec_id!r} already present"))
-            seen.add(rec_id)
-        if reason is None:
-            kept.append(value)
-        else:
-            rejects.append(RejectEntry(line_no, rec_id, reason))
-    return kept, rejects
-
-
-def _map_chunks(
-    fn: Callable[[list[Any]], Any], items: list[Any], workers: int
-) -> list[Any]:
-    """fn over consecutive chunks of items, in order, across a process
-    pool of no more processes than cores or items; without a pool, one
-    chunk of all items. Results do not depend on the worker count.
-    """
-    workers = min(workers, os.cpu_count() or 1, len(items))
-    if workers <= 1:
-        return [fn(items)]
-    size = max(1, len(items) // (workers * 8))
-    chunks = [items[i:i + size] for i in range(0, len(items), size)]
-    import multiprocessing  # here, so that a launch without a pool never loads it
-
-    with multiprocessing.Pool(workers) as pool:
-        return pool.map(fn, chunks, chunksize=1)
+# The most record lines in one chunk of the record pass.
+CHUNK_LINES = 2000
 
 
 def ingest(
@@ -159,36 +119,66 @@ def ingest(
     compute: Callable[[HeavyGraph], Any],
     workers: int = 1,
     molfile: bool = False,
-) -> tuple[list[list[Any]], list[RejectEntry]]:
-    """The one record pass: judge the record_lines (with molfile, the one
-    molfile) of each input across ``workers`` processes, show each distinct
-    warning once, in input order, with warnings.showwarning (no filter), and
-    give each input's kept values and all reject entries, in input order.
+    reduce: Callable[[Iterator[Any]], Any] = list,
+) -> tuple[list[Any], list[RejectEntry]]:
+    """The one record pass: judge each input's record_lines (with molfile,
+    its one molfile) in chunks of at most CHUNK_LINES, in order, across a
+    pool of no more processes than ``workers``, cores or chunks, or without
+    a pool for one; show each distinct warning once, in input order, with
+    warnings.showwarning (no filter); and give reduce of each input's kept
+    values, as they arrive, and all reject entries, in input order. Nothing
+    depends on the worker count.
 
+    An accepted record claims its id, even when compute then rejects it; a
+    later record of the same input with that id is a DuplicateRecord.
     compute must be picklable: a module-level function or its partial.
     """
     numbered = [
         [(1, text)] if molfile else record_lines(text.splitlines()) for text in texts
     ]
-    items = [line for part in numbered for _, line in part]
-    verdicts: list[Verdict] = []
-    shown: set[tuple[str, type]] = set()
-    for chunk_verdicts, caught in _map_chunks(
-        partial(judge, compute, molfile), items, workers
-    ):
-        verdicts.extend(chunk_verdicts)
-        for w in caught:
-            if w[:2] not in shown:
-                shown.add(w[:2])
-                warnings.showwarning(*w)
-    kept: list[list[Any]] = []
+    size = max(1, min(CHUNK_LINES, sum(map(len, numbered)) // (workers * 8)))
+    chunks = [[part[i:i + size] for i in range(0, len(part), size)] for part in numbered]
+    workers = min(workers, os.cpu_count() or 1, sum(map(len, chunks)))
+    lines = ([text for _, text in chunk] for part in chunks for chunk in part)
     rejects: list[RejectEntry] = []
-    remaining = iter(verdicts)
-    for part in numbered:
-        values, part_rejects = admit(part, remaining)
-        kept.append(values)
-        rejects.extend(part_rejects)
-    return kept, rejects
+    shown: set[tuple[str, type]] = set()
+
+    def kept(part: list[list[tuple[int, str]]], judged: Iterator) -> Iterator[Any]:
+        seen: set[str | None] = set()
+        for chunk in part:
+            verdicts, caught = next(judged)
+            for w in caught:
+                if w[:2] not in shown:
+                    shown.add(w[:2])
+                    warnings.showwarning(*w)
+            for (line_no, _), (rec_id, accepted, reason, value) in zip(chunk, verdicts):
+                if accepted:
+                    if rec_id in seen:
+                        reason = reject_reason(
+                            DuplicateRecord(f"id {rec_id!r} already present"))
+                    seen.add(rec_id)
+                if reason is None:
+                    yield value
+                else:
+                    rejects.append(RejectEntry(line_no, rec_id, reason))
+
+    pool = None
+    if workers > 1:
+        import multiprocessing  # here, so that a launch without a pool never loads it
+
+        # A worker that spawn or forkserver starts would read the digit limit
+        # from the environment, not the run's.
+        pool = multiprocessing.Pool(workers, initializer=sys.set_int_max_str_digits,
+                                    initargs=(sys.get_int_max_str_digits(),))
+    with pool or contextlib.nullcontext():
+        task = partial(judge, compute, molfile)
+        judged = map(task, lines) if pool is None else pool.imap(task, lines)
+        results = []
+        for part in chunks:
+            values = kept(part, judged)
+            results.append(reduce(values))
+            deque(values, maxlen=0)  # what reduce left; the next input's chunks follow
+    return results, rejects
 
 
 def record_type_counts(
@@ -225,9 +215,9 @@ def coverage_features(g: HeavyGraph) -> tuple:
     return g.mol, g.na, cd.level, gcn.atom_codes(g), sigs, scaffold
 
 
-def coverage_report(features: list[tuple], name: str) -> dict[str, Any]:
+def coverage_report(features: Iterable[tuple], name: str) -> dict[str, Any]:
     """Inventory counts across both representation axes, in output order,
-    from the records' coverage_features.
+    from the records' coverage_features, read once.
 
     Topology core counts are reported for all three label modes side by
     side, in sorted mode order; the scaffold axis uses the default mode
@@ -253,7 +243,7 @@ def coverage_report(features: list[tuple], name: str) -> dict[str, Any]:
     return {
         "name": name,
         "molecule_count": len(molecules),
-        "conformation_count": len(features),
+        "conformation_count": sum(na_hist.values()),
         "gcn0_types": len(codes[0]),
         "gcn1_types": len(codes[1]),
         "gcn2_types": len(codes[2]),
@@ -264,9 +254,16 @@ def coverage_report(features: list[tuple], name: str) -> dict[str, Any]:
     }
 
 
-# A dataset for the comparisons below: its name, and the record_type_counts
-# of each of its records.
-Table = tuple[str, list[Counter]]
+def type_total(counts: Iterable[Counter]) -> Counter:
+    """The sum of the record_type_counts of a dataset's records."""
+    total: Counter = Counter()
+    for c in counts:
+        total.update(c)
+    return total
+
+
+# A dataset for the comparisons below: its name and its type_total.
+Table = tuple[str, Counter]
 
 
 def overlap_report(tables: list[Table]) -> dict[str, int]:
@@ -282,7 +279,7 @@ def overlap_report(tables: list[Table]) -> dict[str, int]:
     names = [name for name, _ in tables]
     if len(set(names)) != len(names):
         raise InvalidArgument("table names must be distinct")
-    sets = [set().union(*counts) for _, counts in tables]
+    sets = [set(total) for _, total in tables]
     universe: set[str] = set().union(*sets)
     regions: dict[str, int] = {}
     k = len(tables)
@@ -318,20 +315,15 @@ def kl_matrix(
     check_epsilon("epsilon", epsilon)
     if len(tables) < 2:
         raise InvalidArgument("kl_matrix takes at least two tables")
-    counts = []
-    for name, record_counts in tables:
-        c: Counter = Counter()
-        for rc in record_counts:
-            c.update(rc)
+    for name, c in tables:
         if sum(c.values()) == 0:
             raise EmptyDistribution(
                 f"table {name!r} has no {feature} occurrences"
             )
-        counts.append(c)
-    support = sorted(set().union(*counts))
+    support = sorted(set().union(*(c for _, c in tables)))
     s = len(support)
     dists: list[list[float]] = []
-    for c in counts:
+    for _, c in tables:
         total = sum(c.values()) + epsilon * s
         dists.append([(c.get(x, 0) + epsilon) / total for x in support])
 
@@ -417,7 +409,7 @@ def check_limit(name: str, limit: int | None) -> None:
 
 
 def expansion_subsets(
-    levels: list[tuple[str, int, int]], gcn2_max: int, nbg_max: int
+    levels: Iterable[tuple[str, int, int]], gcn2_max: int, nbg_max: int
 ) -> set[str]:
     """Ids of records within both level thresholds, from record_levels.
 

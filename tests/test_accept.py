@@ -14,11 +14,9 @@ import pytest
 from molspace import cli, gcn, nbg
 from molspace.cli import main
 from molspace.coverage import (
-    _map_chunks,
     coverage_features,
     coverage_report,
     ingest,
-    judge,
 )
 from molspace.molgraph import heavy_graph, parse_record_line
 
@@ -280,9 +278,9 @@ def test_coverage_decomposes_each_record_once(count_per_record_calls):
 
 
 def test_encode_decomposes_each_record_once(count_per_record_calls):
-    task = partial(judge, partial(cli._encode_record, mode="skeleton"), False)
-    ((verdicts, _),) = _map_chunks(task, RING_RECORDS, workers=1)
-    assert all(reason is None for _, _, reason, _ in verdicts)
+    (lines,), rejects = ingest(
+        ["\n".join(RING_RECORDS)], partial(cli._encode_record, mode="skeleton"))
+    assert rejects == [] and len(lines) == len(RING_RECORDS)
     assert count_per_record_calls == once_each(RING_RECORDS, 1)
 
 

@@ -35,15 +35,14 @@ from functools import partial
 from molspace import cli
 from molspace.align import apply, fit
 from molspace.coverage import (
-    _map_chunks,
     complement_types,
     expansion_subsets,
     ingest,
-    judge,
     kl_matrix,
     record_levels,
     record_type_counts,
     structure_complement,
+    type_total,
 )
 from molspace.descriptors import OrbitalRecord, binding_energy, e_gcn0
 from molspace.gcn import count_gcn2, enumerate_gcn0, enumerate_gcn1
@@ -332,12 +331,12 @@ def test_acceptance_09_kl_guarantees():
                      (5, 6, 2), (6, 1, 1)]),
         record_line("ethane", ["C", "C"], [(1, 2, 1)]),
     ]
-    counts, rejects = ingest(
+    totals, rejects = ingest(
         ["\n".join(lines) for lines in (lines_a, lines_b, lines_c)],
-        partial(record_type_counts, feature="gcn0"),
+        partial(record_type_counts, feature="gcn0"), reduce=type_total,
     )
     assert rejects == []
-    tables = list(zip("abc", counts))
+    tables = list(zip("abc", totals))
     matrix = kl_matrix(tables, "gcn0", epsilon=1e-9)
     n = len(tables)
     assert [len(row) for row in matrix] == [n] * n
@@ -389,19 +388,16 @@ def test_acceptance_11_encode_throughput_and_digests():
         json.dumps(random_molecule_record(rng, i, max_heavy=32))
         for i in range(100_000)
     ]
-    task = partial(judge, partial(cli._encode_record, mode="skeleton"), False)
+    encode = partial(cli._encode_record, mode="skeleton")
     t0 = time.perf_counter()
-    serial = [v for verdicts, _ in _map_chunks(task, tasks, workers=1) for v in verdicts]
+    (serial,), rejects = ingest(["\n".join(tasks)], encode, workers=1)
     elapsed = time.perf_counter() - t0
-    assert all(reason is None for _, _, reason, _ in serial)
+    assert rejects == [] and len(serial) == len(tasks)
     assert elapsed < 60.0
-    digest = hashlib.sha256(
-        "\n".join(payload for _, _, _, payload in serial).encode()
-    ).hexdigest()
-    parallel = [v for verdicts, _ in _map_chunks(task, tasks, workers=4) for v in verdicts]
-    other = hashlib.sha256(
-        "\n".join(payload for _, _, _, payload in parallel).encode()
-    ).hexdigest()
+    digest = hashlib.sha256("\n".join(serial).encode()).hexdigest()
+    (parallel,), rejects = ingest(["\n".join(tasks)], encode, workers=4)
+    assert rejects == []
+    other = hashlib.sha256("\n".join(parallel).encode()).hexdigest()
     assert other == digest
 
 

@@ -308,8 +308,9 @@ def test_pool_is_no_larger_than_the_records_or_the_cores(
     class StandInPool:
         """Records its size and maps in this process."""
 
-        def __init__(self, processes):
+        def __init__(self, processes, initializer, initargs):
             sizes.append(processes)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -317,10 +318,10 @@ def test_pool_is_no_larger_than_the_records_or_the_cores(
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize):
-            return [fn(x) for x in items]
+        def imap(self, fn, items):
+            return map(fn, items)
 
-    # coverage._map_chunks imports multiprocessing when it starts a pool.
+    # coverage.ingest imports multiprocessing when it starts a pool.
     monkeypatch.setattr(multiprocessing, "Pool", StandInPool)
     data = write(tmp_path, "in.jsonl", METHANE, ETHANE, WATER)
     expected = run(capsys, "encode", "--input", data)
@@ -1056,6 +1057,25 @@ MIXED = [
 ]
 
 
+# Runs cli.main on the arguments after the first, which names the start
+# method of any pool the run starts.
+UNDER_START_METHOD = """
+import multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1])
+from molspace import cli
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def run_under(method, argv, env=None):
+    """(exit code, stdout, stderr) of a child run of argv under method."""
+    proc = subprocess.run(
+        [sys.executable, "-c", UNDER_START_METHOD, method, *argv],
+        capture_output=True, env=env or child_env(), check=False,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def test_the_worker_count_changes_no_byte_of_any_record_command(tmp_path):
     data = write(tmp_path, "mixed.jsonl", *MIXED)
     other = write(tmp_path, "other.jsonl", METHANE, ETHANE, WATER, BENZOIC)
@@ -1089,7 +1109,12 @@ def test_the_worker_count_changes_no_byte_of_any_record_command(tmp_path):
                 capture_output=True, env=child_env(), check=False,
             )
             runs.append((proc.returncode, proc.stdout, proc.stderr, out.read_bytes()))
-        assert runs[0] == runs[1], argv[0]
+        # Under forkserver and spawn, too, the bytes of the runs above.
+        for method in ("forkserver", "spawn"):
+            out = tmp_path / f"out-{method}.txt"
+            result = run_under(method, [*argv, "--workers", "2", "--out", str(out)])
+            runs.append((*result, out.read_bytes()))
+        assert runs[0] == runs[1] == runs[2] == runs[3], argv[0]
         code, stdout, stderr, _ = runs[0]
         assert (code, stdout) == (1, b""), argv[0]
         assert stderr.decode().count(warning) == 1, argv[0]
@@ -1178,6 +1203,21 @@ def test_main_reads_integers_to_python_default_digit_limit_and_restores_the_call
     assert "an integer has more than 4300 digits" in err
 
 
+def test_pool_workers_read_integers_to_the_runs_digit_limit(tmp_path):
+    # Workers started by forkserver or spawn do not inherit the limit that
+    # main sets; PYTHONINTMAXSTRDIGITS=0 would lift it in them.
+    data = write(tmp_path, "d.jsonl", LONG_ID, METHANE)
+    env = child_env(PYTHONINTMAXSTRDIGITS="0")
+    runs = [run_under(method, ["cutset", "--input", data, "--workers", workers], env)
+            for method, workers in [("fork", "1"), ("fork", "2"),
+                                    ("forkserver", "2"), ("spawn", "2")]]
+    assert runs[1:] == runs[:1] * 3
+    code, out, err = runs[0]
+    assert code == 1 and body_lines(out.decode()) == ["methane\tvc=0 ec=0 level=0"]
+    assert err.decode().startswith("line 1 id=? ParseError: record line is not valid "
+                                   "structured text: an integer has more than 4300 digits")
+
+
 @pytest.mark.parametrize("bins, code", [("100000", 0), ("100001", 2)])
 def test_hist_takes_at_most_100000_bins(bins, code, capsys, tmp_path):
     data = write(tmp_path, "d.jsonl", METHANE)
@@ -1251,8 +1291,15 @@ def test_the_reject_lines_come_before_the_output(tmp_path):
 def test_the_rejects_stay_written_when_the_fold_fails(capsys, tmp_path):
     a = write(tmp_path, "a.jsonl", METHANE)
     b = write(tmp_path, "b.jsonl", *UNREADABLE)
-    assert run(capsys, "kl", a, b) == (1, "", UNREADABLE_REJECTS + (
-        "error: EmptyDistribution: table 'b' has no gcn1 occurrences\n"))
+    c = write(tmp_path, "c.jsonl", ETHANE, *UNREADABLE)
+    # Every input is read before the fold fails on b.
+    assert run(capsys, "kl", a, b, c) == (1, "", "\n".join([
+        *UNREADABLE_REJECTS.splitlines()[:2],
+        "line 2 id=? ParseError: record line is not valid structured text: Expecting "
+        "property name enclosed in double quotes: line 1 column 2 (char 1)",
+        "line 3 id=si UnsupportedElement: unsupported element 'Si' at atom 1",
+        "4 record(s) rejected",
+        "error: EmptyDistribution: table 'b' has no gcn1 occurrences\n"]))
     data = write(tmp_path, "big.jsonl", *HUGE, record_line("w", ["C"], [],
                                                           props={"e0": -40.1}))
     out = tmp_path / "model.txt"
@@ -1263,6 +1310,29 @@ def test_the_rejects_stay_written_when_the_fold_fails(capsys, tmp_path):
         "error: RankDeficient: fit has a coefficient or residual that is not finite\n"
     ))
     assert not out.exists()
+
+
+def test_out_and_rejects_naming_one_file_is_usage_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    data = write(tmp_path, "in.jsonl", *UNREADABLE, METHANE)
+    (tmp_path / "link.txt").symlink_to(tmp_path / "real.txt")
+    (tmp_path / "hard.txt").write_text("")
+    os.link(tmp_path / "hard.txt", tmp_path / "hard2.txt")
+    config = write(tmp_path, "c.json", json.dumps({"rejects": "out.txt"}))
+    for argv in (["--out", "same.txt", "--rejects", "same.txt"],
+                 ["--out", "./same.txt", "--rejects", str(tmp_path / "same.txt")],
+                 ["--out", "link.txt", "--rejects", "real.txt"],
+                 ["--out", "hard.txt", "--rejects", "hard2.txt"],
+                 ["--out", "out.txt", "--config", config]):
+        # Raised before any input is read: the input named here is missing.
+        for input_path in (data, "missing.jsonl"):
+            assert run(capsys, "cutset", "--input", input_path, *argv) == (
+                2, "", f"usage error: --out and --rejects name the same file, {argv[1]}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "c.json", "hard.txt", "hard2.txt", "in.jsonl", "link.txt"]
+    assert (tmp_path / "hard.txt").read_text() == ""
+    # '-' names two streams.
+    assert run(capsys, "cutset", "--input", data, "--out", "-", "--rejects", "-")[0] == 1
 
 
 def test_rejects_dash_means_stderr(capsys, tmp_path, monkeypatch):

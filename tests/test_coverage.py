@@ -3,13 +3,16 @@
 import math
 import random
 import warnings
+from collections import Counter
 
 import pytest
 
 from functools import partial
 
+from molspace import coverage
 from molspace.coverage import (
     MAX_BINS,
+    RejectEntry,
     complement_types,
     coverage_features,
     coverage_report,
@@ -22,6 +25,7 @@ from molspace.coverage import (
     record_levels,
     record_type_counts,
     structure_complement,
+    type_total,
 )
 from molspace.errors import (
     EmptyDistribution,
@@ -32,25 +36,26 @@ from molspace.molgraph import HydrogenClampWarning
 from conftest import record_line
 
 
-def pass_over(lines, compute=lambda record: record):
-    """The values one record pass keeps, and its rejects."""
-    (values,), rejects = ingest(["\n".join(lines)], compute)
+def pass_over(lines, compute=lambda record: record, reduce=list):
+    """The values one record pass keeps, as reduce folds them, and its rejects."""
+    (values,), rejects = ingest(["\n".join(lines)], compute, reduce=reduce)
     return values, rejects
 
 
-def make_values(lines, compute=lambda record: record):
-    values, rejects = pass_over(lines, compute)
+def make_values(lines, compute=lambda record: record, reduce=list):
+    values, rejects = pass_over(lines, compute, reduce)
     assert rejects == []
     return values
 
 
 def make_table(name, lines, feature="gcn0"):
-    """(name, record_type_counts of each record), as kl and compare fold them."""
-    return name, make_values(lines, partial(record_type_counts, feature=feature))
+    """(name, type_total of its records), as kl and compare fold them."""
+    return name, make_values(
+        lines, partial(record_type_counts, feature=feature), type_total)
 
 
 def type_set(table):
-    return set().union(*table[1])
+    return set(table[1])
 
 
 METHANE = record_line("methane", ["C"], [], props={"e": -40.0})
@@ -206,7 +211,7 @@ def test_kl_matrix_input_checks():
         kl_matrix([ta, tb], "gcn0", epsilon=0.0)
     with pytest.raises(InvalidArgument):
         kl_matrix([ta], "gcn0")
-    empty = ("e", [])
+    empty = ("e", Counter())
     with pytest.raises(EmptyDistribution):
         kl_matrix([ta, empty], "gcn0")
 
@@ -257,6 +262,64 @@ def test_ingest_shows_each_distinct_warning_once_whatever_the_filters(
     assert shown == [(HydrogenClampWarning, "record 'nitro': atom 2 (N) has bond "
                       "order sum 4 above the default valence; hydrogen count "
                       "clamped to 0")]
+
+
+NITRO = record_line("nitro", ["C", "N", "O", "C"], [(1, 2, 1), (2, 3, 2), (2, 4, 1)])
+
+
+def count_chunks(monkeypatch):
+    """The line count of each chunk that ingest judges in this process."""
+    chunks = []
+    judge = coverage.judge
+
+    def counted(compute, molfile, texts):
+        chunks.append(len(texts))
+        return judge(compute, molfile, texts)
+
+    monkeypatch.setattr(coverage, "judge", counted)
+    return chunks
+
+
+def test_one_worker_keeps_one_id_set_and_one_warning_set_across_chunks(monkeypatch):
+    shown = []
+    monkeypatch.setattr(warnings, "showwarning",
+                        lambda message, kind, *_: shown.append(kind))
+    chunks = count_chunks(monkeypatch)
+    lines = [record_line(f"m{i}", ["C"], []) for i in range(40)]
+    # The second nitro, in a later chunk, repeats the first one's warning.
+    lines[2] = lines[33] = NITRO
+    values, rejects = pass_over(lines)
+    # The first nitro is in the first chunk, the second is not.
+    assert 2 < chunks[0] <= 33
+    assert len(values) == 39
+    assert rejects == [
+        RejectEntry(34, "nitro", "DuplicateRecord: id 'nitro' already present")]
+    assert shown == [HydrogenClampWarning]
+
+
+class Alive:
+    """A record's value that counts how many values are alive."""
+
+    count = 0
+
+    def __init__(self, record):
+        Alive.count += 1
+
+    def __del__(self):
+        Alive.count -= 1
+
+
+def most_alive(values):
+    return max(Alive.count for _ in values)
+
+
+def test_one_worker_keeps_no_more_than_one_chunk_of_values_alive(monkeypatch):
+    chunks = count_chunks(monkeypatch)
+    lines = [record_line(f"m{i}", ["C"], []) for i in range(64)]
+    peak, rejects = pass_over(lines, Alive, most_alive)
+    assert rejects == [] and len(chunks) > 1
+    assert peak <= max(chunks) < len(lines)
+    assert Alive.count == 0
 
 
 def test_expansion_subsets_thresholds():
