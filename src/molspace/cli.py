@@ -47,7 +47,7 @@ from .errors import (
     OutputError,
     ParseError,
 )
-from .molgraph import HeavyGraph, load_json, record_lines
+from .molgraph import LINE_BREAKS, HeavyGraph, load_json, record_lines
 
 
 class InputText(NamedTuple):
@@ -148,14 +148,14 @@ def _record_pass(
     args: argparse.Namespace,
     sources: list[InputText],
     compute: Callable[[HeavyGraph], Any],
+    folds: list[Callable[[Iterable[Any]], Any]],
     molfile: bool = False,
-    reduce: Callable[[Iterable[Any]], Any] = list,
 ) -> tuple[list[Any], list[InputText], int]:
     """Run one record pass over the inputs at --workers, then write one line
-    per reject, to --rejects or stderr, and their count to stderr: reduce of
-    each input's kept values, the sources and the number rejected."""
+    per reject, to --rejects or stderr, and their count to stderr: folds[k]
+    of input k's kept values, the sources and the number rejected."""
     values, rejects = cov.ingest(
-        [s.text for s in sources], compute, args.workers, molfile, reduce)
+        [s.text for s in sources], compute, folds, args.workers, molfile)
     if rejects:
         _write((f"line {r.line_no} id={r.record_id or '?'} {r.reason}"
                 for r in rejects), args.rejects, err=True)
@@ -206,7 +206,7 @@ def _run_per_record(
     args: argparse.Namespace, command: str, compute: Callable[[Any], str]
 ) -> Output:
     (body,), sources, rejected = _record_pass(
-        args, [read_input(args.input)], compute, args.input_format == "molfile"
+        args, [read_input(args.input)], compute, [list], args.input_format == "molfile"
     )
     # The worker count changes scheduling only, never bytes, so it is
     # deliberately left out of the echoed configuration.
@@ -263,11 +263,40 @@ def _stem(path: str) -> str:
     return Path(path).stem if path != "-" else "stdin"
 
 
+def _dataset_names(
+    option: str, given: list[str] | None, paths: list[str], separator: str = ""
+) -> list[str]:
+    """Each input's dataset name: given, the entries of option, or else its
+    file stem. A usage error, before any input is read, unless the names are
+    distinct and non-empty and none holds separator, or a tab or a line
+    break, which would split or widen its output line."""
+    if given is None:
+        names, hint = [_stem(p) for p in paths], f"; pass {option}"
+        fault = f"input basenames must be distinct and non-empty; pass {option}"
+    elif len(given) != len(paths):
+        raise InvalidArgument(
+            f"{option} lists {len(given)} names for {len(paths)} inputs")
+    else:
+        names, hint = given, ""
+        fault = f"{option} must list distinct, non-empty names"
+    if not all(names) or len(set(names)) != len(names):
+        raise InvalidArgument(fault)
+    for name in names:
+        if not LINE_BREAKS.isdisjoint(name):
+            raise InvalidArgument(
+                f"dataset name {name!r} holds a tab or a line break{hint}")
+        if separator and separator in name:
+            raise InvalidArgument(
+                f"dataset name {name!r} holds {separator!r}, the region separator{hint}")
+    return names
+
+
 def cmd_coverage(args: argparse.Namespace) -> Output:
-    name = args.name or _stem(args.input)
+    given = [args.name] if args.name else None
+    (name,) = _dataset_names("--name", given, [args.input])
     (report,), sources, rejected = _record_pass(
         args, [read_input(args.input)], cov.coverage_features,
-        reduce=partial(cov.coverage_report, name=name),
+        [partial(cov.coverage_report, name=name)],
     )
     lines = header_lines("coverage", {"format": args.format, "name": name}, sources)
     if args.format == "json":
@@ -287,27 +316,16 @@ def cmd_coverage(args: argparse.Namespace) -> Output:
 
 
 def _type_tables(
-    args: argparse.Namespace,
+    args: argparse.Namespace, separator: str = ""
 ) -> tuple[list[cov.Table], list[InputText], int]:
     """The named type_total of --feature of every input."""
     paths = args.inputs
-    if args.names is not None:
-        names = [n.strip() for n in args.names.split(",")]
-        if len(names) != len(paths):
-            raise InvalidArgument(
-                f"--names lists {len(names)} names for {len(paths)} inputs"
-            )
-        fault = "--names must list distinct, non-empty names"
-    else:
-        names = [_stem(p) for p in paths]
-        fault = "input basenames collide; pass --names to disambiguate"
-    if not all(names) or len(set(names)) != len(names):
-        raise InvalidArgument(fault)
+    given = None if args.names is None else [n.strip() for n in args.names.split(",")]
+    names = _dataset_names("--names", given, paths, separator)
     _check_stdin({f"input {k}": path for k, path in enumerate(paths, start=1)})
     compute = partial(cov.record_type_counts, feature=args.feature, mode=args.mode)
     totals, sources, rejected = _record_pass(
-        args, [read_input(path) for path in paths], compute, reduce=cov.type_total
-    )
+        args, [read_input(p) for p in paths], compute, [cov.type_total] * len(paths))
     return list(zip(names, totals)), sources, rejected
 
 
@@ -316,7 +334,7 @@ def cmd_compare(args: argparse.Namespace) -> Output:
         raise InvalidArgument(
             f"compare takes two or three inputs, got {len(args.inputs)}"
         )
-    tables, sources, rejected = _type_tables(args)
+    tables, sources, rejected = _type_tables(args, separator="&")
     regions = cov.overlap_report(tables)
     lines = header_lines(
         "compare", {"feature": args.feature, "mode": args.mode}, sources
@@ -343,7 +361,8 @@ def cmd_kl(args: argparse.Namespace) -> Output:
 def cmd_hist(args: argparse.Namespace) -> Output:
     bins = args.bins if args.bins == "unit" else int(args.bins)
     compute = partial(cov.property_value, prop=args.property)
-    (values,), sources, rejected = _record_pass(args, [read_input(args.input)], compute)
+    (values,), sources, rejected = _record_pass(
+        args, [read_input(args.input)], compute, [list])
     hist = cov.histogram(values, bins)
     # bins is echoed as given: "5" from a flag, 5 from a config file.
     echo = {"property": args.property, "bins": args.bins}
@@ -359,7 +378,7 @@ def cmd_subset(args: argparse.Namespace) -> Output:
     subset = partial(cov.expansion_subsets, gcn2_max=args.gcn2_level,
                      nbg_max=args.nbg_level)
     (ids,), sources, rejected = _record_pass(
-        args, [read_input(args.input)], cov.record_levels, reduce=subset
+        args, [read_input(args.input)], cov.record_levels, [subset]
     )
     echo = {"gcn2_level": args.gcn2_level, "nbg_level": args.nbg_level}
     lines = header_lines("subset", echo, sources)
@@ -370,10 +389,10 @@ def cmd_subset(args: argparse.Namespace) -> Output:
 def cmd_complement(args: argparse.Namespace) -> Output:
     _check_stdin({"--train": args.train, "--eval": args.eval})
     compute = partial(cov.complement_types, feature=args.feature)
-    (train, evals), sources, rejected = _record_pass(
-        args, [read_input(args.train), read_input(args.eval)], compute
-    )
-    ids = cov.structure_complement(train, evals, args.na_cap)
+    (known, evals), sources, rejected = _record_pass(
+        args, [read_input(args.train), read_input(args.eval)], compute,
+        [cov.known_types, list])
+    ids = cov.structure_complement(known, evals, args.na_cap)
     echo = {"feature": args.feature, "na_cap": args.na_cap}
     lines = header_lines("complement", echo, sources)
     lines.extend(sorted(ids))
@@ -426,7 +445,8 @@ def cmd_bind_energy(args: argparse.Namespace) -> Output:
     refs_source = read_input(args.refs)
     refs = load_reference_lines(refs_source.text.splitlines())
     compute = partial(_bind_energy_line, prop=args.property, refs=refs)
-    (body,), sources, rejected = _record_pass(args, [read_input(args.input)], compute)
+    (body,), sources, rejected = _record_pass(
+        args, [read_input(args.input)], compute, [list])
     lines = header_lines(
         "bind-energy", {"property": args.property}, sources + [refs_source]
     )
@@ -468,7 +488,7 @@ def cmd_align(args: argparse.Namespace) -> Output:
     target_prop = None if action == "apply" else e1_prop
     compute = partial(_align_record, e0_prop=e0_prop, mode=mode,
                       target_prop=target_prop, model=model)
-    (kept,), _, rejected = _record_pass(args, [source], compute)
+    (kept,), _, rejected = _record_pass(args, [source], compute, [list])
     if not kept and action != "apply":
         raise NoRecords(f"no record left to {action}")
     pairs = [pair for _, pair, _ in kept]

@@ -18,7 +18,7 @@ import sys
 import warnings
 from collections import Counter, deque
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import gcn, nbg
 from .errors import (
@@ -110,24 +110,24 @@ def judge(
                       for w in caught]
 
 
-# The most record lines in one chunk of the record pass.
-CHUNK_LINES = 2000
+# The record lines in one chunk of the record pass, measured under fork.
+CHUNK_LINES = 500
 
 
 def ingest(
     texts: list[str],
     compute: Callable[[HeavyGraph], Any],
+    folds: Sequence[Callable[[Iterator[Any]], Any]],
     workers: int = 1,
     molfile: bool = False,
-    reduce: Callable[[Iterator[Any]], Any] = list,
 ) -> tuple[list[Any], list[RejectEntry]]:
     """The one record pass: judge each input's record_lines (with molfile,
-    its one molfile) in chunks of at most CHUNK_LINES, in order, across a
-    pool of no more processes than ``workers``, cores or chunks, or without
-    a pool for one; show each distinct warning once, in input order, with
-    warnings.showwarning (no filter); and give reduce of each input's kept
-    values, as they arrive, and all reject entries, in input order. Nothing
-    depends on the worker count.
+    its one molfile) in chunks of CHUNK_LINES, in order, across a pool of
+    no more processes than ``workers``, cores or chunks, or without a pool
+    for one; show each distinct warning once, in input order, with
+    warnings.showwarning (no filter); and give folds[k] of input k's kept
+    values, read once, as they arrive, and all reject entries, in input
+    order. Nothing depends on the worker count.
 
     An accepted record claims its id, even when compute then rejects it; a
     later record of the same input with that id is a DuplicateRecord.
@@ -136,7 +136,7 @@ def ingest(
     numbered = [
         [(1, text)] if molfile else record_lines(text.splitlines()) for text in texts
     ]
-    size = max(1, min(CHUNK_LINES, sum(map(len, numbered)) // (workers * 8)))
+    size = CHUNK_LINES
     chunks = [[part[i:i + size] for i in range(0, len(part), size)] for part in numbered]
     workers = min(workers, os.cpu_count() or 1, sum(map(len, chunks)))
     lines = ([text for _, text in chunk] for part in chunks for chunk in part)
@@ -174,10 +174,10 @@ def ingest(
         task = partial(judge, compute, molfile)
         judged = map(task, lines) if pool is None else pool.imap(task, lines)
         results = []
-        for part in chunks:
+        for part, fold in zip(chunks, folds, strict=True):
             values = kept(part, judged)
-            results.append(reduce(values))
-            deque(values, maxlen=0)  # what reduce left; the next input's chunks follow
+            results.append(fold(values))
+            deque(values, maxlen=0)  # what fold left; the next input's chunks follow
     return results, rejects
 
 
@@ -272,13 +272,17 @@ def overlap_report(tables: list[Table]) -> dict[str, int]:
     For k tables the result has one entry per non-empty subset of tables,
     keyed by the '&'-joined table names in input order: the number of
     types present in exactly that subset. Region counts sum to the size of
-    the union.
+    the union. A name holding '&' could make two regions one key, so it
+    raises InvalidArgument.
     """
     if not 2 <= len(tables) <= 3:
         raise InvalidArgument("overlap_report takes two or three tables")
     names = [name for name, _ in tables]
     if len(set(names)) != len(names):
         raise InvalidArgument("table names must be distinct")
+    for name in names:
+        if "&" in name:
+            raise InvalidArgument(f"table name {name!r} holds '&', the region separator")
     sets = [set(total) for _, total in tables]
     universe: set[str] = set().union(*sets)
     regions: dict[str, int] = {}
@@ -438,20 +442,24 @@ def complement_types(
     return g.id, g.na, record_type_counts(g, feature)
 
 
+def known_types(train: Iterable[tuple[str, int, Counter]]) -> set[str]:
+    """The feature types in the training records' complement_types, read once."""
+    return {x for _, _, types in train for x in types}
+
+
 def structure_complement(
-    train: list[tuple[str, int, Counter]],
-    evals: list[tuple[str, int, Counter]],
+    known: set[str],
+    evals: Iterable[tuple[str, int, Counter]],
     na_cap: int | None = None,
 ) -> set[str]:
-    """Ids of eval records carrying a feature type never seen in training,
-    from the complement_types of both datasets.
+    """Ids of eval records, from their complement_types, carrying a feature
+    type outside known, the training set's known_types.
 
     The optional na_cap drops eval records with more heavy atoms than the
     cap before the comparison; a negative cap would drop every record, so
     it raises InvalidArgument.
     """
     check_limit("na_cap", na_cap)
-    known: set[str] = set().union(*(types for _, _, types in train))
     return {
         rec_id for rec_id, na, types in evals
         if (na_cap is None or na <= na_cap) and any(x not in known for x in types)

@@ -6,7 +6,7 @@ import math
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from .errors import DegenerateWeights, InvalidArgument, MissingReference, ParseError
-from .molgraph import load_json, record_lines
+from .molgraph import json_number, load_json, record_lines
 
 
 class OrbitalRecord(NamedTuple):
@@ -123,14 +123,11 @@ def load_reference_lines(lines: Iterable[str]) -> dict[str, float]:
 
 def _finite(obj: Mapping[str, Any], key: str, where: str) -> float:
     """A loader's numeric field as a float; ParseError unless it is a
-    finite number, as for record properties. A bool is no number."""
+    finite json_number, as for record properties."""
     value = obj[key]
-    try:
-        if isinstance(value, bool):
-            raise ValueError
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{where}: {key} is not a number: {value!r}") from None
+    number = json_number(value)
+    if number is None:
+        raise ParseError(f"{where}: {key} is not a number: {value!r}")
     if not math.isfinite(number):
         raise ParseError(f"{where}: {key} is not finite: {value!r}")
     return number

@@ -287,10 +287,9 @@ def _parse_record_fields(rec_id: str, obj: Mapping[str, Any]) -> HeavyGraph:
         raise ParseError("field 'props' must be an object")
     props: dict[str, float] = {}
     for key, value in props_raw.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        number = json_number(value)
+        if number is None:
             raise ParseError(f"property {key!r} is not numeric")
-        # float() overflows on integers past the float range.
-        number = float(value) if abs(value) <= sys.float_info.max else math.inf
         if not math.isfinite(number):
             raise ParseError(f"property {key!r} is not a finite number")
         props[str(key)] = number
@@ -330,6 +329,15 @@ def load_json(text: str) -> Any:
         raise ValueError(f"an integer has more than {digits} digits") from None
 
 
+def json_number(value: Any) -> float | None:
+    """A number read by load_json as a float, or None for any other value.
+    An int or a float is a number, a bool or a string is not; an integer
+    past the float range, where float() overflows, is inf, so not finite."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return None
+    return float(value) if abs(value) <= sys.float_info.max else math.inf
+
+
 def record_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
     """Number the record lines (from 1), skipping blanks and '#' comments."""
     numbered: list[tuple[int, str]] = []
@@ -341,14 +349,14 @@ def record_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
 
 
 # A tab, and every character str.splitlines breaks at.
-_LINE_BREAKS = frozenset("\t\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029")
+LINE_BREAKS = frozenset("\t\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def _one_line_id(rec_id: str) -> str:
     """The id, unless it holds a tab or a line break, which would split or
     widen the id's output line. The error carries no record_id, so the
     reject line stays one line."""
-    if not _LINE_BREAKS.isdisjoint(rec_id):
+    if not LINE_BREAKS.isdisjoint(rec_id):
         raise ParseError("field 'id' holds a tab or a line break")
     return rec_id
 

@@ -268,7 +268,7 @@ RING_RECORDS = [
 
 
 def test_coverage_decomposes_each_record_once(count_per_record_calls):
-    (features,), rejects = ingest(["\n".join(RING_RECORDS)], coverage_features)
+    (features,), rejects = ingest(["\n".join(RING_RECORDS)], coverage_features, [list])
     assert rejects == []
     report = coverage_report(features, "t")
     assert report["nbg0_types"] == {
@@ -279,7 +279,7 @@ def test_coverage_decomposes_each_record_once(count_per_record_calls):
 
 def test_encode_decomposes_each_record_once(count_per_record_calls):
     (lines,), rejects = ingest(
-        ["\n".join(RING_RECORDS)], partial(cli._encode_record, mode="skeleton"))
+        ["\n".join(RING_RECORDS)], partial(cli._encode_record, mode="skeleton"), [list])
     assert rejects == [] and len(lines) == len(RING_RECORDS)
     assert count_per_record_calls == once_each(RING_RECORDS, 1)
 
@@ -466,6 +466,6 @@ def test_coverage_scaffold_types_equal_the_scaffold_signatures():
     lines = scaffold_oracle_records()
     scaffolds = [nbg.scaffold(heavy_graph(parse_record_line(line))) for line in lines]
     expected = {nbg.topology_of(*sc) for sc in scaffolds if sc is not None}
-    (features,), rejects = ingest(["\n".join(lines)], coverage_features)
+    (features,), rejects = ingest(["\n".join(lines)], coverage_features, [list])
     assert rejects == []
     assert coverage_report(features, "t")["scaffold_types"] == len(expected)

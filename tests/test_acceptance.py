@@ -39,6 +39,7 @@ from molspace.coverage import (
     expansion_subsets,
     ingest,
     kl_matrix,
+    known_types,
     record_levels,
     record_type_counts,
     structure_complement,
@@ -333,7 +334,7 @@ def test_acceptance_09_kl_guarantees():
     ]
     totals, rejects = ingest(
         ["\n".join(lines) for lines in (lines_a, lines_b, lines_c)],
-        partial(record_type_counts, feature="gcn0"), reduce=type_total,
+        partial(record_type_counts, feature="gcn0"), [type_total] * 3,
     )
     assert rejects == []
     tables = list(zip("abc", totals))
@@ -390,12 +391,12 @@ def test_acceptance_11_encode_throughput_and_digests():
     ]
     encode = partial(cli._encode_record, mode="skeleton")
     t0 = time.perf_counter()
-    (serial,), rejects = ingest(["\n".join(tasks)], encode, workers=1)
+    (serial,), rejects = ingest(["\n".join(tasks)], encode, [list], workers=1)
     elapsed = time.perf_counter() - t0
     assert rejects == [] and len(serial) == len(tasks)
     assert elapsed < 60.0
     digest = hashlib.sha256("\n".join(serial).encode()).hexdigest()
-    (parallel,), rejects = ingest(["\n".join(tasks)], encode, workers=4)
+    (parallel,), rejects = ingest(["\n".join(tasks)], encode, [list], workers=4)
     assert rejects == []
     other = hashlib.sha256("\n".join(parallel).encode()).hexdigest()
     assert other == digest
@@ -411,7 +412,7 @@ def test_acceptance_12_expansion_subset_logic():
                     [(1, 2, 2), (2, 3, 1), (3, 4, 2), (4, 5, 1),
                      (5, 6, 2), (6, 1, 1), (1, 7, 1)]),
     ]
-    (table,), rejects = ingest(["\n".join(lines)], record_levels)
+    (table,), rejects = ingest(["\n".join(lines)], record_levels, [list])
     assert rejects == []
     assert expansion_subsets(table, 0, 0) == {"methane"}
     assert expansion_subsets(table, 5, 0) == {"methane", "benzene"}
@@ -424,6 +425,7 @@ def test_acceptance_12_expansion_subset_logic():
             table, g2, n2
         )
     for feature in ("gcn1", "nbg_plus", "scaffold"):
-        (types,), _ = ingest(
-            ["\n".join(lines)], partial(complement_types, feature=feature))
-        assert structure_complement(types, types) == set()
+        (known, types), _ = ingest(
+            ["\n".join(lines)] * 2, partial(complement_types, feature=feature),
+            [known_types, list])
+        assert structure_complement(known, types) == set()

@@ -300,14 +300,12 @@ def test_config_keys_of_no_option_are_ignored(capsys, tmp_path):
     assert run(capsys, "cutset", "--input", data, "--config", cfg) == expected
 
 
-def test_pool_is_no_larger_than_the_records_or_the_cores(
-    monkeypatch, capsys, tmp_path
-):
+def stand_in_pool(monkeypatch):
+    """The size of each pool that coverage.ingest starts; each maps in this
+    process."""
     sizes = []
 
     class StandInPool:
-        """Records its size and maps in this process."""
-
         def __init__(self, processes, initializer, initargs):
             sizes.append(processes)
             initializer(*initargs)
@@ -323,12 +321,36 @@ def test_pool_is_no_larger_than_the_records_or_the_cores(
 
     # coverage.ingest imports multiprocessing when it starts a pool.
     monkeypatch.setattr(multiprocessing, "Pool", StandInPool)
+    return sizes
+
+
+def test_pool_is_no_larger_than_the_records_or_the_cores(
+    monkeypatch, capsys, tmp_path
+):
+    sizes = stand_in_pool(monkeypatch)
+    monkeypatch.setattr(coverage, "CHUNK_LINES", 1)
     data = write(tmp_path, "in.jsonl", METHANE, ETHANE, WATER)
     expected = run(capsys, "encode", "--input", data)
     for cores in (64, 2, None):
         monkeypatch.setattr(coverage.os, "cpu_count", lambda: cores)
         assert run(capsys, "encode", "--input", data, "--workers", "64") == expected
     assert sizes == [3, 2]
+
+
+def test_an_input_of_one_chunk_starts_no_pool(monkeypatch, capsys, tmp_path):
+    sizes = stand_in_pool(monkeypatch)
+    monkeypatch.setattr(coverage.os, "cpu_count", lambda: 2)
+    data = write(tmp_path, "in.jsonl", METHANE, ETHANE, WATER)
+    expected = run(capsys, "encode", "--input", data)
+    assert run(capsys, "encode", "--input", data, "--workers", "2") == expected
+    assert sizes == []
+    # CHUNK_LINES records are one chunk; one more are two, and two workers.
+    monkeypatch.setattr(coverage, "CHUNK_LINES", 3)
+    assert run(capsys, "encode", "--input", data, "--workers", "2") == expected
+    assert sizes == []
+    more = write(tmp_path, "more.jsonl", METHANE, ETHANE, WATER, BENZOIC)
+    run(capsys, "encode", "--input", more, "--workers", "2")
+    assert sizes == [2]
 
 
 def test_integer_settings_accept_integral_values(capsys, tmp_path):
@@ -593,6 +615,31 @@ def test_names_must_be_distinct_and_non_empty(
 
 
 @pytest.mark.parametrize("argv, message", [
+    (["compare", "a", "b", "c", "--names", "a,b,a&b"],
+     "dataset name 'a&b' holds '&', the region separator"),
+    (["compare", "a", "x&y.jsonl"],
+     "dataset name 'x&y' holds '&', the region separator; pass --names"),
+    (["kl", "a", "b", "--names", "a\nb,c"],
+     "dataset name 'a\\nb' holds a tab or a line break"),
+    (["compare", "a", "b", "--names", "a\tx,c"],
+     "dataset name 'a\\tx' holds a tab or a line break"),
+    (["kl", "a", "b\u2028c.jsonl"],
+     "dataset name 'b\\u2028c' holds a tab or a line break; pass --names"),
+    (["coverage", "--input", "a", "--format", "table", "--name", "q\nr"],
+     "dataset name 'q\\nr' holds a tab or a line break"),
+    (["coverage", "--input", "q\rr.jsonl"],
+     "dataset name 'q\\rr' holds a tab or a line break; pass --name"),
+], ids=["compare-amp", "compare-amp-stem", "kl-newline", "compare-tab", "kl-stem",
+        "coverage-name", "coverage-stem"])
+def test_a_dataset_name_that_would_corrupt_the_report_is_usage_error(
+    argv, message, capsys, tmp_path, monkeypatch
+):
+    # None of the inputs exists: reading one would be a ParseError (exit 1).
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
     (["compare", "a.jsonl"], "compare takes two or three inputs, got 1"),
     (["compare", "a.jsonl", "b.jsonl", "c.jsonl", "d.jsonl"],
      "compare takes two or three inputs, got 4"),
@@ -730,16 +777,22 @@ def test_bind_energy(capsys, tmp_path):
      '{"element":"C","energy":false}',
      "reference line 1: energy is not a number: False"),
     (["egcn0", "--orbitals"], "orbs.jsonl",
-     '{"atom":"a1","occ":"nan","energy":-1.0}',
-     "orbital line 1: occ is not finite: 'nan'"),
+     '{"atom":"a1","occ":NaN,"energy":-1.0}',
+     "orbital line 1: occ is not finite: nan"),
+    (["egcn0", "--orbitals"], "orbs.jsonl",
+     '{"atom":"a","occ":"2","energy":-0.5}',
+     "orbital line 1: occ is not a number: '2'"),
+    (["bind-energy", "--input", "{a}", "--refs"], "refs.jsonl",
+     '{"element":"C","energy":"-37.8"}',
+     "reference line 1: energy is not a number: '-37.8'"),
     (["egcn0", "--orbitals"], "orbs.jsonl",
      '{"atom":"a","occ":true,"energy":-1}',
      "orbital line 1: occ is not a number: True"),
     (["egcn0", "--orbitals"], "orbs.jsonl",
      '{"atom":"a","occ":1,"energy":true}',
      "orbital line 1: energy is not a number: True"),
-], ids=["refs-text", "refs-null", "refs-bool", "orbitals-nan", "orbitals-occ-bool",
-        "orbitals-energy-bool"])
+], ids=["refs-text", "refs-null", "refs-bool", "orbitals-nan", "orbitals-occ-text",
+        "refs-numeric-text", "orbitals-occ-bool", "orbitals-energy-bool"])
 def test_unusable_loader_value_is_parse_error(
     argv, file, line, message, capsys, tmp_path
 ):
@@ -889,7 +942,7 @@ def test_align_rejects_records_with_an_unseen_feature(capsys, tmp_path):
 
 LOADED_AFTER_EACH_STEP = """
 import json, os, sys
-from molspace import cli
+from molspace import cli, coverage
 
 HEAVY = ("dataclasses", "multiprocessing", "numpy")
 data, gcn0, w1, w2 = sys.argv[1:]
@@ -898,6 +951,7 @@ assert cli.main(["enumerate", "gcn0", "--out", gcn0]) == 0
 steps.append([m for m in HEAVY if m in sys.modules])
 assert cli.main(["encode", "--input", data, "--workers", "1", "--out", w1]) == 0
 steps.append([m for m in HEAVY if m in sys.modules])
+coverage.CHUNK_LINES = 4  # three chunks, so that two workers start a pool
 assert cli.main(["encode", "--input", data, "--workers", "2", "--out", w2]) == 0
 pool = "multiprocessing" in sys.modules
 print(json.dumps({"steps": steps, "pool": pool, "cores": os.cpu_count() or 1}))
@@ -1058,17 +1112,20 @@ MIXED = [
 
 
 # Runs cli.main on the arguments after the first, which names the start
-# method of any pool the run starts.
+# method of any pool the run starts. Each record line is a chunk, so that
+# two records at --workers 2 start a pool.
 UNDER_START_METHOD = """
 import multiprocessing, sys
 multiprocessing.set_start_method(sys.argv[1])
-from molspace import cli
+from molspace import cli, coverage
+coverage.CHUNK_LINES = 1
 sys.exit(cli.main(sys.argv[2:]))
 """
 
 
 def run_under(method, argv, env=None):
-    """(exit code, stdout, stderr) of a child run of argv under method."""
+    """(exit code, stdout, stderr) of a child run of argv under method, with
+    chunks of one record line."""
     proc = subprocess.run(
         [sys.executable, "-c", UNDER_START_METHOD, method, *argv],
         capture_output=True, env=env or child_env(), check=False,
@@ -1100,17 +1157,15 @@ def test_the_worker_count_changes_no_byte_of_any_record_command(tmp_path):
                "bond order sum 4 above the default valence; hydrogen count "
                "clamped to 0\n")
     for argv in commands:
-        runs = []
-        for workers in ("1", "2"):
-            out = tmp_path / f"out-{workers}.txt"
-            proc = subprocess.run(
-                [sys.executable, "-m", "molspace", *argv, "--workers", workers,
-                 "--out", str(out)],
-                capture_output=True, env=child_env(), check=False,
-            )
-            runs.append((proc.returncode, proc.stdout, proc.stderr, out.read_bytes()))
-        # Under forkserver and spawn, too, the bytes of the runs above.
-        for method in ("forkserver", "spawn"):
+        out = tmp_path / "out-1.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "molspace", *argv, "--workers", "1",
+             "--out", str(out)],
+            capture_output=True, env=child_env(), check=False,
+        )
+        runs = [(proc.returncode, proc.stdout, proc.stderr, out.read_bytes())]
+        # A pool of two, under each start method, gives the bytes of one worker.
+        for method in ("fork", "forkserver", "spawn"):
             out = tmp_path / f"out-{method}.txt"
             result = run_under(method, [*argv, "--workers", "2", "--out", str(out)])
             runs.append((*result, out.read_bytes()))

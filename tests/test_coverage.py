@@ -11,6 +11,7 @@ from functools import partial
 
 from molspace import coverage
 from molspace.coverage import (
+    COMPLEMENT_FEATURES,
     MAX_BINS,
     RejectEntry,
     complement_types,
@@ -20,6 +21,7 @@ from molspace.coverage import (
     histogram,
     ingest,
     kl_matrix,
+    known_types,
     overlap_report,
     property_value,
     record_levels,
@@ -31,14 +33,14 @@ from molspace.errors import (
     EmptyDistribution,
     InvalidArgument,
 )
-from molspace.molgraph import HydrogenClampWarning
+from molspace.molgraph import HydrogenClampWarning, heavy_graph, parse_record_line
 
 from conftest import record_line
 
 
 def pass_over(lines, compute=lambda record: record, reduce=list):
     """The values one record pass keeps, as reduce folds them, and its rejects."""
-    (values,), rejects = ingest(["\n".join(lines)], compute, reduce=reduce)
+    (values,), rejects = ingest(["\n".join(lines)], compute, [reduce])
     return values, rejects
 
 
@@ -177,6 +179,14 @@ def test_overlap_regions_partition_the_union():
     assert set(three) == {"a", "b", "c", "a&b", "a&c", "b&c", "a&b&c"}
 
 
+def test_overlap_refuses_a_name_holding_the_region_separator():
+    # "a&b" would name both the region of a and b and the third table.
+    tables = [("a", Counter({"x": 1})), ("b", Counter({"x": 1})),
+              ("a&b", Counter({"y": 1}))]
+    with pytest.raises(InvalidArgument, match="'a&b' holds '&'"):
+        overlap_report(tables)
+
+
 def test_overlap_requires_two_or_three_distinct_names():
     ta = make_table("a", [METHANE])
     tb = make_table("a", [WATER])
@@ -267,8 +277,10 @@ def test_ingest_shows_each_distinct_warning_once_whatever_the_filters(
 NITRO = record_line("nitro", ["C", "N", "O", "C"], [(1, 2, 1), (2, 3, 2), (2, 4, 1)])
 
 
-def count_chunks(monkeypatch):
-    """The line count of each chunk that ingest judges in this process."""
+def count_chunks(monkeypatch, size=8):
+    """The line count of each chunk that ingest judges in this process, with
+    chunks of size lines."""
+    monkeypatch.setattr(coverage, "CHUNK_LINES", size)
     chunks = []
     judge = coverage.judge
 
@@ -349,7 +361,7 @@ def test_expansion_subsets_monotone(seed=17):
 
 def test_structure_complement_flags_unseen_types():
     gcn1 = partial(complement_types, feature="gcn1")
-    train = make_values([METHANE, PROPANE], gcn1)
+    train = make_values([METHANE, PROPANE], gcn1, known_types)
     eval_t = make_values([ETHANE, WATER, BENZENE], gcn1)
     out = structure_complement(train, eval_t)
     assert out == {"ethane", "water", "benzene"}
@@ -363,10 +375,67 @@ def test_structure_complement_flags_unseen_types():
 
 def test_structure_complement_refuses_a_negative_na_cap():
     gcn1 = partial(complement_types, feature="gcn1")
-    train = make_values([METHANE], gcn1)
+    train = make_values([METHANE], gcn1, known_types)
     eval_t = make_values([WATER], gcn1)
     assert structure_complement(train, eval_t, na_cap=0) == set()
     assert structure_complement(train, eval_t, na_cap=1) == {"water"}
     with pytest.raises(InvalidArgument, match="na_cap must be non-negative"):
         structure_complement(train, eval_t, na_cap=-5)
 
+
+@pytest.mark.parametrize("feature", COMPLEMENT_FEATURES)
+def test_structure_complement_is_the_set_definition_on_random_corpora(feature):
+    from conftest import random_molecule_record
+    import json
+
+    rng = random.Random(2201)
+    compute = partial(complement_types, feature=feature)
+    for trial in range(6):
+        train = [json.dumps(random_molecule_record(rng, i, max_heavy=10))
+                 for i in range(rng.randint(0, 25))]
+        evals = [json.dumps(random_molecule_record(rng, i, max_heavy=12))
+                 for i in range(25)]
+        (known, values), rejects = ingest(
+            ["\n".join(train), "\n".join(evals)], compute, [known_types, list])
+        assert rejects == []
+        # The definition, from each record's own types.
+        seen = {x for line in train
+                for x in record_type_counts(heavy_graph(parse_record_line(line)), feature)}
+        assert known == seen
+        for cap in (None, rng.randint(0, 12)):
+            expected = set()
+            for line in evals:
+                g = heavy_graph(parse_record_line(line))
+                unseen = set(record_type_counts(g, feature)) - seen
+                if unseen and (cap is None or g.na <= cap):
+                    expected.add(g.id)
+            assert structure_complement(known, values, cap) == expected, (trial, cap)
+
+
+class AliveTypes(Alive):
+    """A record's types, none, that count how many values are alive."""
+
+    def __iter__(self):
+        return iter(())
+
+
+def alive_types(record):
+    return record.id, record.na, AliveTypes(record)
+
+
+def test_complement_folds_the_training_input_one_chunk_at_a_time(monkeypatch):
+    chunks = count_chunks(monkeypatch)
+    train = "\n".join(record_line(f"t{i}", ["C"], []) for i in range(64))
+    alive = []
+
+    def counted(values):
+        for value in values:
+            alive.append(Alive.count)
+            yield value
+
+    (known, evals), rejects = ingest(
+        [train, METHANE], alive_types, [lambda values: known_types(counted(values)), list])
+    assert rejects == [] and known == set() and len(evals) == 1
+    # A chunk's values, and the one known_types read last while the next
+    # chunk is judged.
+    assert len(alive) == 64 and max(alive) <= max(chunks) + 1 < 64

@@ -20,6 +20,7 @@ from molspace.errors import (
     MissingReference,
     ParseError,
 )
+from molspace.molgraph import parse_record_line
 
 
 def recs(pairs):
@@ -104,14 +105,22 @@ def test_reference_loader():
         load_reference_lines(['{"element":"C"}'])
 
 
+# A JSON integer past the float range.
+BIG = "1" + "0" * 400
+
+
 @pytest.mark.parametrize("line, message", [
     ('{"element":"C","energy":"abc"}', "energy is not a number: 'abc'"),
     ('{"element":"C","energy":null}', "energy is not a number: None"),
     ('{"element":"C","energy":[1]}', "energy is not a number: [1]"),
-    ('{"element":"C","energy":"nan"}', "energy is not finite: 'nan'"),
+    ('{"element":"C","energy":NaN}', "energy is not finite: nan"),
     ('{"element":"C","energy":1e999}', "energy is not finite: inf"),
     ('{"element":"C","energy":true}', "energy is not a number: True"),
-], ids=["text", "null", "list", "nan", "overflow", "bool"])
+    ('{"element":"C","energy":"-37.8"}', "energy is not a number: '-37.8'"),
+    ('{"element":"C","energy":"nan"}', "energy is not a number: 'nan'"),
+    ('{"element":"C","energy":-%s}' % BIG, f"energy is not finite: -{BIG}"),
+], ids=["text", "null", "list", "nan", "overflow", "bool", "numeric-text", "nan-text",
+        "big-integer"])
 def test_reference_loader_refuses_non_finite_energies(line, message):
     with pytest.raises(ParseError) as exc:
         load_reference_lines(['{"element":"H","energy":-0.5}', line])
@@ -119,16 +128,39 @@ def test_reference_loader_refuses_non_finite_energies(line, message):
 
 
 @pytest.mark.parametrize("line, message", [
-    ('{"atom":"a","occ":"nan","energy":-1.0}', "occ is not finite: 'nan'"),
-    ('{"atom":"a","occ":2.0,"energy":"-inf"}', "energy is not finite: '-inf'"),
+    ('{"atom":"a","occ":NaN,"energy":-1.0}', "occ is not finite: nan"),
+    ('{"atom":"a","occ":2.0,"energy":-Infinity}', "energy is not finite: -inf"),
     ('{"atom":"a","occ":1e999,"energy":-1.0}', "occ is not finite: inf"),
     ('{"atom":"a","occ":"two","energy":-1.0}', "occ is not a number: 'two'"),
     ('{"atom":"a","occ":2.0,"energy":null}', "energy is not a number: None"),
     ('{"atom":"a","occ":true,"energy":-1}', "occ is not a number: True"),
     ('{"atom":"a","occ":1,"energy":false}', "energy is not a number: False"),
+    ('{"atom":"a","occ":"2","energy":-0.5}', "occ is not a number: '2'"),
+    ('{"atom":"a","occ":2,"energy":"-0.5"}', "energy is not a number: '-0.5'"),
+    ('{"atom":"a","occ":%s,"energy":-1}' % BIG, f"occ is not finite: {BIG}"),
 ], ids=["occ-nan", "energy-minus-inf", "occ-overflow", "occ-text", "energy-null",
-        "occ-bool", "energy-bool"])
+        "occ-bool", "energy-bool", "occ-numeric-text", "energy-numeric-text",
+        "occ-big-integer"])
 def test_orbital_loader_refuses_non_finite_fields(line, message):
     with pytest.raises(ParseError) as exc:
         load_orbital_lines(["# header", line])
     assert str(exc.value) == f"orbital line 2: {message}"
+
+
+def takes(load):
+    try:
+        load()
+    except ParseError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("value", ['"-0.5"', "true", BIG, "-" + BIG, "NaN", "2", "-0.25"])
+def test_loader_fields_and_record_properties_take_the_same_numbers(value):
+    orbital = f'{{"atom":"a","occ":1,"energy":{value}}}'
+    reference = f'{{"element":"C","energy":{value}}}'
+    record = f'{{"id":"m","elements":["C"],"bonds":[],"h":"auto","props":{{"e":{value}}}}}'
+    taken = [takes(lambda: load_orbital_lines([orbital])),
+             takes(lambda: load_reference_lines([reference])),
+             takes(lambda: parse_record_line(record))]
+    assert taken == [value in ("2", "-0.25")] * 3
